@@ -56,6 +56,7 @@ from .isoperimetry import (
     ProfileReport,
     boundary_lower_bound,
     digraph_min_boundary,
+    digraph_profile,
     min_boundary,
     min_boundary_unrestricted,
     profile,

@@ -6,8 +6,9 @@ usage or configuration errors.
 
 Reports are JSON with a schema_version header and the run configuration
 embedded for reproducibility.  Everything except the wall_ms timing fields
-is deterministic for a fixed configuration; the thread count never changes
-result bytes and is therefore not part of the serialized configuration.
+is deterministic for a fixed configuration.  The --threads flag is accepted
+but changes nothing, and is therefore not part of the serialized
+configuration.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _cmd_profile(args) -> int:
     try:
         group = AbelianGroup.parse(args.group)
         s = ConnectionSet.from_text(group, args.s)
-        report = profile(group, s, m_override=args.m, order_cap=args.order_cap, threads=args.threads)
+        report = profile(group, s, m_override=args.m, order_cap=args.order_cap)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -206,7 +207,7 @@ def _write_rows_csv(path: str, rows: list[dict]) -> None:
 def _cmd_verify_catalog(args) -> int:
     try:
         entries = cat.load_catalog(args.catalog)
-        results = cat.verify_catalog(entries, order_cap=args.order_cap, threads=args.threads)
+        results = cat.verify_catalog(entries, order_cap=args.order_cap)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -233,7 +234,9 @@ def _cmd_counterexample(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for exhaustive search")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; does not affect profile or verify-catalog, "
+                             "which search single-threaded")
     common.add_argument("--out", type=str, default=None, help="write a report to this path")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="report format for --out")
 

@@ -216,7 +216,7 @@ def estimate_sup(
     if stats is not None:
         stats["iterations"] = iterations
         stats["last_decrease"] = float(max_dec)
-        stats["converged"] = max_dec < tol
+        stats["converged"] = bool(max_dec < tol)
     if max_dec >= tol:
         raise ConvergenceError(
             f"no convergence after {iterations} sweeps (last decrease {max_dec:.3e} >= tol {tol:.3e})",

@@ -8,20 +8,33 @@ satisfies
 
 with E the extremal majorant.  This module computes exact isoperimetric
 profiles (minimum boundary over all subsets of each cardinality) by
-exhaustive bitset search, compares them against the bound, and tabulates
-tightness ratios.  Subset enumeration is canonicalized to sets containing
-the identity: the boundary is translation invariant, and every translation
-orbit contains such a set, so the minimum is preserved while the work
-shrinks by a factor of |G|/n.
+exhaustive search, compares them against the bound, and tabulates
+tightness ratios.
+
+One bit-parallel kernel serves Cayley digraphs and explicit arc lists.  A
+digraph is split into layers, maps in which every vertex has at most one
+outgoing arc: a Cayley element e is the total map x -> x + e, and an arc
+list puts the k-th arc leaving each vertex into layer k.  Subsets are
+uint64 bitmasks enumerated in blocks of 2^16, so memory stays flat.  For
+each layer f the preimage P(A) = f^-1(A) is the OR of a lookup table over
+the low 16 mask bits and a per-block constant for the rest, and A loses
+popcount(A & dom f & ~P(A)) arcs to the outside.  The per-cardinality
+minimum and its lexicographically first witness come from one packed-key
+reduction per block.
+
+Cayley enumeration is canonicalized to sets containing the identity: the
+boundary is translation invariant, and every translation orbit contains
+such a set, so the minimum is preserved while the work halves.  Arc lists
+need not be vertex-transitive and are searched over all 2^n subsets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +46,7 @@ from .cayley import (
     GenericDigraph,
     VertexSet,
     digraph_boundary,
+    edge_boundary_naive,
     is_generating,
     max_order,
 )
@@ -93,57 +107,95 @@ class ProfileReport:
         }
 
 
-def _scan_min_boundary(
-    group: AbelianGroup,
-    s: ConnectionSet,
-    universe: range,
-    k: int,
-    fixed: tuple[int, ...],
-    chunk: int = 1 << 17,
-) -> tuple[int, int, int]:
-    """Minimum boundary over {fixed + any k of universe}; lex-first witness.
+_BLOCK_BITS = 16  # blocks of 2^16 masks: 512 KiB per uint64 array
 
-    Subsets are materialized chunk-wise as boolean membership matrices and
-    the boundary evaluated per connection element as popcounts of
-    A & ~(A shifted), vectorized across the whole chunk.
+
+def _or_table(bits: np.ndarray) -> np.ndarray:
+    """table[:, x] = OR of bits[:, p] over the set bits p of x, built by doubling."""
+    table = np.zeros((bits.shape[0], 1 << bits.shape[1]), dtype=np.uint64)
+    for p in range(bits.shape[1]):
+        np.bitwise_or(table[:, : 1 << p], bits[:, p, None], out=table[:, 1 << p : 2 << p])
+    return table
+
+
+@functools.lru_cache(maxsize=_BLOCK_BITS + 1)
+def _low_parts(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All w-bit masks sorted by popcount, the sorting order, and each popcount's first index."""
+    low = np.arange(1 << w, dtype=np.uint64)
+    by_size = np.argsort(np.bitwise_count(low), kind="stable")
+    low = low[by_size]
+    starts = np.searchsorted(np.bitwise_count(low), np.arange(w + 1))
+    for a in (low, by_size, starts):
+        a.flags.writeable = False
+    return low, by_size, starts
+
+
+def _subset_minima(order: int, layers: list[tuple[np.ndarray, np.ndarray]], identity: bool) -> list[tuple[int, int]]:
+    """(minimum boundary, lex-first witness bits) for every cardinality 0..order.
+
+    Each layer is a pair of index sequences (src, dst) naming arcs src -> dst,
+    with every source at most once.  With identity=True only the sets that
+    contain vertex 0 are enumerated, and cardinality 0 is (0, 0).
+
+    Masks hold vertex v at bit order-1-v, so that among sets of one size the
+    lex-first sorted tuple, which owns the lowest differing vertex, is the
+    largest mask.  Each mask is keyed (boundary << order) | ~mask, and the
+    smallest key per cardinality is the minimum with its lex-first witness.
     """
-    order = group.order
-    perms = [group.shift_table(e) for e in s]
-    combos = itertools.combinations(universe, k)
-    best = -1
-    best_bits = 0
-    enumerated = 0
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            break
-        nb = len(block)
-        enumerated += nb
-        m = np.zeros((nb, order), dtype=bool)
-        for idx in fixed:
-            m[:, idx] = True
-        if k:
-            arr = np.array(block, dtype=np.intp)
-            m[np.arange(nb)[:, None], arr] = True
-        bnd = np.zeros(nb, dtype=np.int64)
-        for p in perms:
-            bnd += np.count_nonzero(m & ~m[:, p], axis=1)
-        i = int(np.argmin(bnd))
-        if best < 0 or bnd[i] < best:
-            best = int(bnd[i])
-            best_bits = sum(1 << int(j) for j in np.flatnonzero(m[i]))
-    return best, best_bits, enumerated
+    arcs = sum(len(src) for src, _ in layers)
+    if order + arcs.bit_length() > 64:
+        raise ValueError(f"{order} vertices and {arcs} arcs exceed the 64-bit search keys")
+    full = (1 << order) - 1
+    # pre[l, p]: the vertices whose layer-l image sits at bit p
+    pre = np.zeros((len(layers), order), dtype=np.uint64)
+    off_domain = np.full((len(layers), 1), full, dtype=np.uint64)
+    for i, (src, dst) in enumerate(layers):
+        src_bits = np.uint64(1) << (order - 1 - np.asarray(src)).astype(np.uint64)
+        np.bitwise_or.at(pre[i], order - 1 - np.asarray(dst), src_bits)
+        off_domain[i] &= ~np.bitwise_or.reduce(src_bits)
+
+    # A mask is a block prefix `high` OR'ed with one of 2^w block-local `low`
+    # parts.  Preimages distribute over OR, so each layer's preimage is a
+    # table over the low parts OR'ed with a per-block constant, which also
+    # covers the vertices outside the layer's domain.  The low parts are
+    # sorted by popcount, so each cardinality of a block is one reduceat run.
+    free = order - 1 if identity else order
+    w = min(free, _BLOCK_BITS)
+    low, by_size, starts = _low_parts(w)
+    not_low_pre = ~np.take(_or_table(pre[:, :w]), by_size, axis=1)
+    highs = np.arange(1 << (free - w), dtype=np.uint64) << np.uint64(w)
+    high_pre = _or_table(pre[:, w:free]) | off_domain
+    if identity:
+        highs |= np.uint64(1 << (order - 1))
+        high_pre |= pre[:, order - 1, None]
+    not_high_pre = ~high_pre
+
+    best = np.full(order + 1, np.iinfo(np.uint64).max, dtype=np.uint64)
+    masks, departed, key = np.empty_like(low), np.empty_like(low), np.empty_like(low)
+    for h, high in enumerate(highs):
+        np.bitwise_or(low, high, out=masks)
+        key.fill(0)
+        for i in range(len(layers)):
+            np.bitwise_and(masks, not_high_pre[i, h], out=departed)
+            departed &= not_low_pre[i]
+            key += np.bitwise_count(departed)
+        key <<= np.uint64(order)
+        np.bitwise_xor(masks, np.uint64(full), out=departed)
+        key |= departed
+        k = int(np.bitwise_count(high))
+        np.minimum(best[k : k + w + 1], np.minimum.reduceat(key, starts), out=best[k : k + w + 1])
+
+    result = [(0, 0)] if identity else []
+    for packed in best[len(result) :].tolist():
+        bits = (packed & full) ^ full
+        result.append((packed >> order, int(f"{bits:0{order}b}"[::-1], 2) if order else 0))
+    return result
 
 
-def _min_boundary_impl(group: AbelianGroup, s: ConnectionSet, n: int, chunk: int = 1 << 17) -> tuple[int, int, int]:
-    order = group.order
-    if not 0 <= n <= order:
-        raise ValueError(f"cardinality {n} out of range for group order {order}")
-    if n == 0:
-        return 0, 0, 0
-    if n == order:
-        return 0, (1 << order) - 1, 0
-    return _scan_min_boundary(group, s, range(1, order), n - 1, (0,), chunk)
+def _cayley_minima(group: AbelianGroup, s: ConnectionSet) -> list[tuple[int, int]]:
+    """Kernel minima over identity-containing sets (valid by translation invariance)."""
+    src = np.arange(group.order)
+    return _subset_minima(group.order, [(src, group.shift_table(e)) for e in s], identity=True)
 
 
 def min_boundary(group: AbelianGroup, s: ConnectionSet, n: int) -> tuple[int, VertexSet]:
@@ -154,19 +206,31 @@ def min_boundary(group: AbelianGroup, s: ConnectionSet, n: int) -> tuple[int, Ve
     witness.  A non-generating S only warns: the result is still the exact
     minimum, the lower bound just need not apply.
     """
-    if not is_generating(group, s):
-        warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
-    mb, bits, _ = _min_boundary_impl(group, s, n)
-    return mb, VertexSet(bits, group.order)
-
-
-def min_boundary_unrestricted(group: AbelianGroup, s: ConnectionSet, n: int) -> tuple[int, VertexSet]:
-    """Oracle twin of min_boundary enumerating every n-subset (no canonicalization)."""
     order = group.order
     if not 0 <= n <= order:
         raise ValueError(f"cardinality {n} out of range for group order {order}")
-    mb, bits, _ = _scan_min_boundary(group, s, range(order), n, ())
+    if not is_generating(group, s):
+        warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
+    mb, bits = _cayley_minima(group, s)[n]
     return mb, VertexSet(bits, order)
+
+
+def min_boundary_unrestricted(group: AbelianGroup, s: ConnectionSet, n: int) -> tuple[int, VertexSet]:
+    """Slow oracle: every n-subset in lex order, each counted by the naive double loop.
+
+    Shares no code with the bit-parallel kernel; the first minimum met is the
+    lex-first witness.
+    """
+    order = group.order
+    if not 0 <= n <= order:
+        raise ValueError(f"cardinality {n} out of range for group order {order}")
+    best = None
+    for combo in itertools.combinations(range(order), n):
+        a = VertexSet.from_indices(combo, order)
+        b = edge_boundary_naive(group, s, a)
+        if best is None or b < best[0]:
+            best = (b, a)
+    return best
 
 
 def boundary_lower_bound(
@@ -195,16 +259,14 @@ def profile(
     s: ConnectionSet,
     m_override: int | None = None,
     order_cap: int = 32,
-    threads: int = 1,
-    chunk: int = 1 << 17,
 ) -> ProfileReport:
     """Full isoperimetric profile for n = 0..|G| with bound and ratios.
 
-    Exhaustive (canonicalized) search per cardinality; deterministic for a
-    given (group, S) regardless of thread count.  If S generates the group,
-    a bound violation is mathematically impossible and raises RuntimeError;
-    with non-generating S the entries are computed anyway and violations are
-    merely reported.
+    One kernel pass over the identity-containing subsets serves every
+    cardinality; the result is deterministic for a given (group, S).  If S
+    generates the group, a bound violation is mathematically impossible and
+    raises RuntimeError; with non-generating S the entries are computed
+    anyway and violations are merely reported.
     """
     order = group.order
     if order > order_cap:
@@ -218,25 +280,13 @@ def profile(
         raise ValueError(f"m={m} is smaller than the maximal element order {least} of S")
 
     t0 = time.perf_counter()
-    for e in s:
-        group.shift_table(e)  # warm the cache before any worker threads share it
-
-    def entry_for(n: int) -> tuple[ProfileEntry, int]:
-        mb, bits, enumerated = _min_boundary_impl(group, s, n, chunk)
+    entries = []
+    for n, (mb, bits) in enumerate(_cayley_minima(group, s)):
         bound = (order / m) * majorant(Fraction(n, order)).value
         ratio = mb / bound if bound > 0 else math.inf
-        return ProfileEntry(n, mb, VertexSet(bits, order), bound, ratio), enumerated
-
-    ns = list(range(order + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(entry_for, ns))
-    else:
-        results = [entry_for(n) for n in ns]
-
-    entries = [r[0] for r in results]
-    enumerated = sum(r[1] for r in results)
-    possible = sum(math.comb(order, n) for n in range(1, order))
+        entries.append(ProfileEntry(n, mb, VertexSet(bits, order), bound, ratio))
+    # identity-containing proper subsets, against all nonempty proper subsets
+    enumerated = 2 ** (order - 1) - 1
     report = ProfileReport(
         group=group.describe(),
         connection_set=s.describe(),
@@ -245,7 +295,7 @@ def profile(
         hypothesis_met=generating,
         entries=entries,
         subsets_enumerated=enumerated,
-        subsets_pruned=possible - enumerated,
+        subsets_pruned=2**order - 2 - enumerated,
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
     if generating and report.bound_violations():
@@ -256,18 +306,29 @@ def profile(
     return report
 
 
+def digraph_profile(d: GenericDigraph) -> list[tuple[int, VertexSet]]:
+    """Minimum boundary and lex-first witness of an explicit digraph, for n = 0..d.n.
+
+    The k-th arc leaving each vertex goes to layer k, so parallel arcs and
+    unequal out-degrees are counted exactly.  Arc lists need not be
+    vertex-transitive, so all 2^n subsets are searched.
+    """
+    layers: list[tuple[list[int], list[int]]] = []
+    out_degree = [0] * d.n
+    for u, v in d.arcs:
+        if out_degree[u] == len(layers):
+            layers.append(([], []))
+        layers[out_degree[u]][0].append(u)
+        layers[out_degree[u]][1].append(v)
+        out_degree[u] += 1
+    return [(mb, VertexSet(bits, d.n)) for mb, bits in _subset_minima(d.n, layers, identity=False)]
+
+
 def digraph_min_boundary(d: GenericDigraph, n: int) -> tuple[int, VertexSet]:
     """Exhaustive minimum boundary over n-subsets of an explicit digraph."""
     if not 0 <= n <= d.n:
         raise ValueError(f"cardinality {n} out of range for digraph order {d.n}")
-    best = None
-    best_set = VertexSet(0, d.n)
-    for combo in itertools.combinations(range(d.n), n):
-        a = VertexSet.from_indices(combo, d.n)
-        b = digraph_boundary(d, a)
-        if best is None or b < best:
-            best, best_set = b, a
-    return int(best if best is not None else 0), best_set
+    return digraph_profile(d)[n]
 
 
 def six_cycle_counterexample(path_len: int = 1) -> tuple[int, float]:

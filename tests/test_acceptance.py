@@ -53,7 +53,7 @@ def sup_estimates():
 
 @pytest.fixture(scope="module")
 def catalog_results():
-    return verify_catalog(load_catalog(), threads=4)
+    return verify_catalog(load_catalog())
 
 
 def test_a1_majorant_values_at_sixths():

@@ -63,6 +63,22 @@ class TestEstimateSup:
     def test_bad_p_is_usage_error(self, capsys):
         assert run(capsys, "estimate-sup", "--p", "0", "--n", "8")[0] == 2
 
+    def test_json_report_when_not_converged(self, capsys, tmp_path):
+        out = tmp_path / "sup.json"
+        code, _ = run(capsys, "estimate-sup", "--p", "1", "--n", "32", "--max-iters", "1", "--out", str(out))
+        assert code == 1
+        r = json.loads(out.read_text())
+        assert r["converged"] is False and r["iterations"] == 1
+        assert len(r["values"]) == 33
+
+    def test_json_report_when_converged(self, capsys, tmp_path):
+        out = tmp_path / "sup.json"
+        code, _ = run(capsys, "estimate-sup", "--p", "2", "--n", "64", "--tol", "1e-3", "--out", str(out))
+        assert code == 0
+        r = json.loads(out.read_text())
+        assert r["converged"] is True
+        assert r["config"]["p"] == 2.0 and len(r["values"]) == 65
+
 
 class TestCheckClass:
     def test_builtin_majorant_passes(self, capsys, tmp_path):

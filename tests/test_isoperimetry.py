@@ -1,6 +1,10 @@
+import itertools
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relconv.catalog import load_catalog, verify_catalog
 from relconv.cayley import (
@@ -8,11 +12,14 @@ from relconv.cayley import (
     ConnectionSet,
     GenericDigraph,
     VertexSet,
+    digraph_boundary,
     edge_boundary,
+    edge_boundary_naive,
 )
 from relconv.isoperimetry import (
     boundary_lower_bound,
     digraph_min_boundary,
+    digraph_profile,
     min_boundary,
     min_boundary_unrestricted,
     profile,
@@ -124,14 +131,23 @@ class TestProfile:
         g, s = group_and_set("Z2xZ2xZ2xZ2xZ2xZ2", "basis")
         with pytest.raises(ValueError):
             profile(g, s, order_cap=32)
+        with pytest.raises(ValueError, match="64-bit"):  # past the cap, the search keys overflow
+            profile(g, s, order_cap=64)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_config_does_not_change_results(self):
+        # a fresh group builds its shift tables cold; the second call reuses them
+        def stripped(report):
+            d = report.to_dict()
+            d["stats"].pop("wall_ms")
+            return d
+
         g, s = group_and_set("Z2xZ6", "basis")
-        a = profile(g, s, threads=1).to_dict()
-        b = profile(g, s, threads=4).to_dict()
-        a["stats"].pop("wall_ms")
-        b["stats"].pop("wall_ms")
-        assert a == b
+        cold = stripped(profile(g, s))
+        warm = stripped(profile(g, s))
+        assert cold == warm
+        g2, s2 = group_and_set("Z2xZ6", "basis")
+        assert stripped(profile(g2, s2, order_cap=24)) == cold
+        assert stripped(profile(g2, s2, order_cap=32)) == cold
 
     def test_m_override_scales_bounds(self):
         g, s = group_and_set("Z3xZ3", "basis")
@@ -140,6 +156,68 @@ class TestProfile:
         assert weak.m == 9
         for e_base, e_weak in zip(base.entries, weak.entries):
             assert e_weak.bound == pytest.approx(e_base.bound / 3, abs=1e-12)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_harper_closed_form_on_cube(self, d):
+        g = AbelianGroup([2] * d)
+        report = profile(g, ConnectionSet.basis(g))
+        want = [d * n - 2 * sum(i.bit_count() for i in range(n)) for n in range(2**d + 1)]
+        assert [e.min_boundary for e in report.entries] == want
+
+    def test_counts_match_identity_canonical_search(self):
+        report = profile(*group_and_set("Z3xZ3", "basis"))
+        assert report.subsets_enumerated == 2**8 - 1
+        assert report.subsets_pruned == 2**9 - 2 - report.subsets_enumerated
+
+    def test_arc_list_with_parallel_arcs_and_loops(self):
+        # vertex 0 has a doubled arc, 2 a self-loop, 3 out-degree three, 5 no arcs
+        arcs = ((0, 1), (0, 1), (0, 2), (1, 0), (2, 2), (3, 4), (3, 0), (3, 1), (4, 3), (4, 5))
+        d = GenericDigraph(6, arcs)
+        got = digraph_profile(d)
+        for n in range(d.n + 1):
+            sets = [VertexSet.from_indices(c, d.n) for c in itertools.combinations(range(d.n), n)]
+            counts = [digraph_boundary(d, a) for a in sets]
+            best = min(counts)
+            assert got[n] == (best, sets[counts.index(best)])  # first in lex order
+            assert digraph_min_boundary(d, n) == got[n]
+        assert got[1] == (0, VertexSet.from_indices([2], 6))
+        assert got[2] == (0, VertexSet.from_indices([2, 5], 6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        raw=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=14),
+    )
+    def test_arc_list_matches_brute_force(self, n, raw):
+        d = GenericDigraph(n, tuple((u % n, v % n) for u, v in raw))
+        got = digraph_profile(d)
+        for k in range(n + 1):
+            sets = [VertexSet.from_indices(c, n) for c in itertools.combinations(range(n), k)]
+            counts = [digraph_boundary(d, a) for a in sets]
+            best = min(counts)
+            assert got[k] == (best, sets[counts.index(best)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_minima_and_lex_first_witnesses_match_brute_force(self, data):
+        factors = data.draw(st.sampled_from([(2,), (3,), (5,), (7,), (8,), (9,), (10,), (2, 2), (2, 3),
+                                             (2, 4), (2, 5), (3, 3), (2, 2, 2)]))
+        g = AbelianGroup(factors)
+        elems = data.draw(st.lists(st.integers(1, g.order - 1), min_size=1, max_size=4))
+        s = ConnectionSet(g, elems)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # non-generating S only warns
+            report = profile(g, s)
+        for n in range(1, g.order + 1):
+            mb, _ = min_boundary_unrestricted(g, s, n)
+            # the lex-first minimizer among the identity-containing n-subsets
+            sets = [VertexSet.from_indices((0, *c), g.order) for c in itertools.combinations(range(1, g.order), n - 1)]
+            counts = [edge_boundary_naive(g, s, a) for a in sets]
+            e = report.entries[n]
+            assert e.min_boundary == mb == min(counts)
+            assert e.witness == sets[counts.index(mb)]
 
 
 class TestCounterexample:
