@@ -2,21 +2,34 @@
 
 Every checker scans inequalities at on-grid triples only: x1 = a/N,
 x2 = c/N, lam = (c-b)/(c-a), so the convex combination lands exactly on
-grid index b.  Arithmetic is exact rational whenever the grid function
-stores rationals and the defect exponent is 1; otherwise floating point
-with a slack tolerance (violations require slack < -tol).
+grid index b.  The triple scans go row by row, one middle index b at a
+time, vectorized over the (a, c) pairs of the row.
+
+Arithmetic is exact whenever the grid function stores rationals and the
+defect exponent is 1.  The exact scan scales the values and the constant c
+by D, the lcm of their denominators, and multiplies each inequality out by
+N*D*(c-a), so every comparison is a sign test on an integer; Fractions are
+built only for the violating triples.  The integers run in int64 while the
+worst-case magnitude stays below 2**53, where int64 cannot overflow and
+float64 division gives a correctly rounded max_slack; past that bound the
+same expressions run on Python ints in object arrays.  Otherwise the scan is
+floating point with a slack tolerance (violations require slack < -tol).
+
+Boolean callers such as check_endpoint_reduction stop at the first row
+holding a violation, through the same exact/float dispatch as the full scan.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .extremal import majorant_values, parabola
-from .grid import GridFunction
+from .grid import GridFunction, _triple_row
 
 
 @dataclass(frozen=True)
@@ -69,56 +82,74 @@ def check_almost_convex(f: GridFunction, c: float | Fraction = 1, p: float = 1, 
     Returns every triple with f[b] > lam*f[a] + (1-lam)*f[c] + c*((c-a)/N)**p
     beyond tolerance; an empty result means grid-restricted membership.
     """
+    return _collect(_scan_rows(f, c, p, tol))
+
+
+def _collect(rows: Iterator[tuple[list[Violation], float]]) -> ViolationList:
+    out = ViolationList()
+    for row, worst in rows:
+        out.extend(row)
+        if worst > out.max_slack:
+            out.max_slack = worst
+    out.sort(key=lambda v: (v.a, v.b, v.c))
+    return out
+
+
+def _scan_rows(f: GridFunction, c: float | Fraction, p: float, tol: float) -> Iterator[tuple[list[Violation], float]]:
+    """(violations, largest lhs - rhs) of each middle index b = 1..N-1."""
     if f.is_exact and p == 1 and isinstance(c, (int, Fraction)):
-        return _scan_exact(f, Fraction(c))
-    return _scan_float(f, float(c), float(p), tol)
+        return _exact_rows(f, Fraction(c))
+    N = f.N
+    spread = float(c) * (np.arange(N + 1) / N) ** float(p)
+    return _float_rows(f.floats(), tol, lambda den, lam: spread[den])
 
 
-def _scan_exact(f: GridFunction, c_const: Fraction) -> ViolationList:
+def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Violation], float]]:
+    # Scaled by D = lcm of all denominators, F = D*f and C = D*c are
+    # integers, and multiplying gap = f[b] - rhs by N*D*(c-a) > 0 gives
+    #   G = N*((c-a)F[b] - (c-b)F[a] - (b-a)F[c]) - C*(c-a)**2,
+    # so a triple violates exactly when G > 0.
     N = f.N
     vals = f.values
-    out = ViolationList()
-    worst = None
+    D = math.lcm(c_const.denominator, *(v.denominator for v in vals))
+    F = [v.numerator * (D // v.denominator) for v in vals]
+    C = c_const.numerator * (D // c_const.denominator)
+    # |G| <= N^2 (2 max|F| + |C|) and N*D*(c-a) <= N^2 D.  Below 2^53, int64
+    # cannot overflow, both convert to float64 exactly and their quotient is
+    # correctly rounded.  Past it, Python ints in object arrays are exact and
+    # their true division is correctly rounded too.  Rounding is monotone, so
+    # the largest rounded quotient is the exact largest gap, rounded.
+    fits = N * N * max(2 * max(map(abs, F)) + abs(C), D) < 2**53
+    dtype = np.int64 if fits else object
+    F = np.array(F, dtype=dtype)
+    idx = np.arange(N + 1).astype(dtype)
     for b in range(1, N):
+        a = idx[:b, None]
+        c = idx[None, b + 1:]
+        den = c - a
+        G = N * (den * F[b] - (c - b) * F[:b, None] - (b - a) * F[None, b + 1:]) - C * den * den
+        worst = float((G / (N * D * den)).max())
         lhs = vals[b]
-        for a in range(0, b):
-            for cc in range(b + 1, N + 1):
-                den = cc - a
-                lam = Fraction(cc - b, den)
-                rhs = lam * vals[a] + (1 - lam) * vals[cc] + c_const * Fraction(den, N)
-                gap = lhs - rhs
-                if worst is None or gap > worst:
-                    worst = gap
-                if gap > 0:
-                    out.append(Violation(a, b, cc, lhs, rhs, rhs - lhs))
-    out.sort(key=lambda v: (v.a, v.b, v.c))
-    out.max_slack = float(worst) if worst is not None else -math.inf
-    return out
+        row = []
+        for ai, ci in np.argwhere(G > 0):
+            gap = Fraction(int(G[ai, ci]), N * D * int(den[ai, ci]))
+            row.append(Violation(int(ai), b, b + 1 + int(ci), lhs, lhs - gap, -gap))
+        yield row, worst
 
 
-def _scan_float(f: GridFunction, c_const: float, p: float, tol: float) -> ViolationList:
-    N = f.N
-    vals = f.floats()
-    spread = c_const * (np.arange(N + 1) / N) ** p
-    out = ViolationList()
-    worst = -np.inf
-    for b in range(1, N):
-        a = np.arange(0, b)
-        c = np.arange(b + 1, N + 1)
-        den = c[None, :] - a[:, None]
-        lam = (c[None, :] - b) / den
-        rhs = lam * vals[a][:, None] + (1.0 - lam) * vals[c][None, :] + spread[den]
+def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Violation], float]]:
+    """Float scan rows with rhs = chord + defect(den, lam), den = c - a."""
+    for b in range(1, len(vals) - 1):
+        den, lam, rhs = _triple_row(vals, b)
+        rhs += defect(den, lam)
         gap = vals[b] - rhs
-        m = gap.max()
-        if m > worst:
-            worst = m
-        if m > tol:
+        worst = float(gap.max())
+        row = []
+        if worst > tol:
             for ai, ci in np.argwhere(gap > tol):
-                cc = b + 1 + int(ci)
-                out.append(Violation(int(ai), b, cc, vals[b], float(rhs[ai, ci]), float(rhs[ai, ci]) - vals[b]))
-    out.sort(key=lambda v: (v.a, v.b, v.c))
-    out.max_slack = float(worst)
-    return out
+                r = float(rhs[ai, ci])
+                row.append(Violation(int(ai), b, b + 1 + int(ci), vals[b], r, r - vals[b]))
+        yield row, worst
 
 
 def check_almost_convex_anchored(f: GridFunction, tol: float = 1e-9) -> ViolationList:
@@ -206,26 +237,7 @@ def check_sharpened(f: GridFunction, tol: float = 1e-9) -> ViolationList:
     witnesses when f is the majorant itself.
     """
     N = f.N
-    vals = f.floats()
-    out = ViolationList()
-    worst = -np.inf
-    for b in range(1, N):
-        a = np.arange(0, b)
-        c = np.arange(b + 1, N + 1)
-        den = c[None, :] - a[:, None]
-        lam = (c[None, :] - b) / den
-        rhs = lam * vals[a][:, None] + (1.0 - lam) * vals[c][None, :] + majorant_values(lam) * (den / N)
-        gap = vals[b] - rhs
-        m = gap.max()
-        if m > worst:
-            worst = m
-        if m > tol:
-            for ai, ci in np.argwhere(gap > tol):
-                cc = b + 1 + int(ci)
-                out.append(Violation(int(ai), b, cc, vals[b], float(rhs[ai, ci]), float(rhs[ai, ci]) - vals[b]))
-    out.sort(key=lambda v: (v.a, v.b, v.c))
-    out.max_slack = float(worst)
-    return out
+    return _collect(_float_rows(f.floats(), tol, lambda den, lam: majorant_values(lam) * (den / N)))
 
 
 def make_tent(x0, h0, N: int) -> GridFunction:
@@ -307,7 +319,7 @@ def check_endpoint_reduction(f: GridFunction, tol: float = 1e-9) -> tuple[bool, 
         if np.any(vals[b] - rhs > tol):
             endpoint_ok = False
             break
-    full_ok = not check_almost_convex(f, 1, 1, tol)
+    full_ok = not any(row for row, _ in _scan_rows(f, 1, 1, tol))
     return endpoint_ok, full_ok
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, _triple_row
 
 Real = int | float | Fraction
 
@@ -179,7 +179,9 @@ def estimate_sup(
     Stops when the largest pointwise decrease of a sweep drops below tol.
 
     Raises ConvergenceError (carrying the last iterate) if max_iters sweeps
-    do not reach tol.  Mutates `stats`, when given, with iteration counts.
+    do not reach tol.  Mutates `stats`, when given, with the sweep count
+    `iterations`, the per-sweep largest decreases `decreases`, the last of
+    them `last_decrease`, and `converged`.
     """
     if N < 2:
         raise ValueError(f"grid resolution must be >= 2, got {N}")
@@ -197,24 +199,24 @@ def estimate_sup(
 
     iterations = 0
     max_dec = np.inf
+    decreases = []
     while iterations < max_iters:
         iterations += 1
         max_dec = 0.0
         for b in range(1, N):
-            a = np.arange(0, b)
-            c = np.arange(b + 1, N + 1)
-            den = c[None, :] - a[:, None]
-            lam = (c[None, :] - b) / den
-            rhs = lam * g[a][:, None] + (1.0 - lam) * g[c][None, :] + spread[den]
+            den, _, rhs = _triple_row(g, b)
+            rhs += spread[den]
             m = rhs.min()
             if m < g[b]:
                 max_dec = max(max_dec, g[b] - m)
                 g[b] = m
+        decreases.append(float(max_dec))
         if max_dec < tol:
             break
     result = GridFunction(N, g, label=f"sup-estimate[p={p}]")
     if stats is not None:
         stats["iterations"] = iterations
+        stats["decreases"] = decreases
         stats["last_decrease"] = float(max_dec)
         stats["converged"] = bool(max_dec < tol)
     if max_dec >= tol:

@@ -59,6 +59,25 @@ class GridFunction:
         return f"<GridFunction {tag!r} N={self.N} ({mode})>"
 
 
+def _triple_row(v: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The on-grid triples a < b < c of one middle index b, as (a, c) matrices.
+
+    Returns den = c - a, lam = (c - b)/(c - a) and the chord value
+    lam*v[a] + (1 - lam)*v[c] at b, a new array that callers add their
+    defect term to last, in place.  In-place steps round as the plain
+    expression does, with fewer temporaries.
+    """
+    a = np.arange(0, b)
+    c = np.arange(b + 1, len(v))
+    den = c[None, :] - a[:, None]
+    lam = (c[None, :] - b) / den
+    chord = lam * v[:b, None]
+    rest = 1.0 - lam
+    rest *= v[None, b + 1:]
+    chord += rest
+    return den, lam, chord
+
+
 def write_csv(f: GridFunction, path: str | Path) -> None:
     """Write a grid function as rows `i,x,value` with x the literal fraction i/N."""
     with open(path, "w", newline="") as fh:

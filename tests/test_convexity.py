@@ -1,8 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relconv.convexity import (
     check_almost_convex,
@@ -20,6 +23,43 @@ from relconv.grid import GridFunction
 
 def scaled(f: GridFunction, t: float) -> GridFunction:
     return GridFunction(f.N, t * f.floats(), label=f"{t}*{f.label}")
+
+
+def fraction_scan(f: GridFunction, c: Fraction) -> tuple[list[tuple], float]:
+    """Slow oracle for the exact scan: every triple in Fraction arithmetic.
+
+    Returns the sorted (a, b, c, lhs, rhs, slack) violations and the
+    largest lhs - rhs as a float.
+    """
+    N = f.N
+    vals = f.values
+    out = []
+    worst = None
+    for b in range(1, N):
+        lhs = vals[b]
+        for a in range(0, b):
+            for cc in range(b + 1, N + 1):
+                den = cc - a
+                lam = Fraction(cc - b, den)
+                rhs = lam * vals[a] + (1 - lam) * vals[cc] + c * Fraction(den, N)
+                gap = lhs - rhs
+                if worst is None or gap > worst:
+                    worst = gap
+                if gap > 0:
+                    out.append((a, b, cc, lhs, rhs, rhs - lhs))
+    return sorted(out), float(worst)
+
+
+def assert_matches_oracle(f: GridFunction, c: Fraction) -> None:
+    out = check_almost_convex(f, c)
+    rows = [(v.a, v.b, v.c, v.lhs, v.rhs, v.slack) for v in out]
+    assert all(isinstance(x, Fraction) for row in rows for x in row[3:])
+    assert (rows, out.max_slack) == fraction_scan(f, Fraction(c))
+
+
+def random_rationals(seed: int, n: int, numerators: int, denominator: int) -> list[Fraction]:
+    rng = random.Random(seed)
+    return [Fraction(rng.randrange(-numerators, numerators + 1), denominator) for _ in range(n)]
 
 
 class TestAlmostConvex:
@@ -43,6 +83,24 @@ class TestAlmostConvex:
         exact = check_almost_convex(f)
         floaty = check_almost_convex(GridFunction(16, f.floats()))
         assert [(v.a, v.b, v.c) for v in exact] == [(v.a, v.b, v.c) for v in floaty]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.integers(2, 16).flatmap(
+            lambda n: st.lists(st.fractions(-3, 3, max_denominator=60), min_size=n + 1, max_size=n + 1)
+        ),
+        c=st.fractions(-2, 2, max_denominator=12),
+    )
+    def test_exact_scan_matches_fraction_oracle(self, values, c):
+        assert_matches_oracle(GridFunction(len(values) - 1, values), c)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_scan_past_float64_range_matches_oracle(self, seed):
+        # lcm 3**40 > 2**63 would overflow int64; with 2**56 - 5 int64 holds
+        # the cross-multiplied gaps but float64 rounds them, so both inputs
+        # must take the Python-int fallback to match the oracle
+        assert_matches_oracle(GridFunction(12, random_rationals(seed, 13, 3**41, 3**40)), Fraction(1, 3))
+        assert_matches_oracle(GridFunction(4, random_rationals(seed, 5, 2**56, 2**56 - 5)), 1)
 
     def test_violations_are_sorted(self):
         violations = check_almost_convex(scaled(majorant_grid(48), 3.0))
@@ -165,6 +223,25 @@ class TestEndpointReduction:
     def test_zero_function(self):
         f = GridFunction(8, [Fraction(0)] * 9)
         assert check_endpoint_reduction(f) == (True, True)
+
+    def test_full_verdict_matches_full_scan(self):
+        N = 48
+        inputs = [
+            scaled(sample_concave(N, seed, cap=cap), t)
+            for seed, cap in enumerate([None, parabola_grid(N), majorant_grid(N)] * 3)
+            for t in (0.5, 1.0, 2.0, 4.0)
+        ]
+        # exact inputs take the exact scan: the apex exceeds the parabola by
+        # 1e-10, a violation of (2/3)e-10, inside the float tolerance
+        inputs += [
+            make_tent(Fraction(1, 4), Fraction(3, 4) + Fraction(1, 10**10), 8),
+            make_tent(Fraction(1, 4), Fraction(3, 4), 8),
+            parabola_grid(16, exact=True),
+        ]
+        verdicts = [check_endpoint_reduction(f)[1] for f in inputs]
+        assert verdicts == [not check_almost_convex(f, 1, 1, 1e-9) for f in inputs]
+        assert verdicts[-3:] == [False, True, True]
+        assert True in verdicts and False in verdicts[:-3]
 
     def test_concavity_required(self):
         x = np.arange(17) / 16

@@ -194,6 +194,19 @@ class TestEstimateSup:
         assert g[0] <= 0 and g[48] <= 0
         assert not check_almost_convex(g, 1, 1.5, tol=1e-8)
 
+    def test_decrease_trace(self):
+        for max_iters in (2, 1000):
+            stats: dict = {}
+            try:
+                estimate_sup(1.5, 32, tol=1e-9, max_iters=max_iters, stats=stats)
+            except ConvergenceError:
+                pass
+            decreases = stats["decreases"]
+            assert len(decreases) == stats["iterations"]
+            assert decreases[-1] == stats["last_decrease"]
+            assert all(type(d) is float and d >= 1e-9 for d in decreases[:-1])
+            assert stats["converged"] == (decreases[-1] < 1e-9) == (max_iters == 1000)
+
     def test_nonconvergence_reports_last_iterate(self):
         with pytest.raises(ConvergenceError) as ei:
             estimate_sup(1, 64, tol=1e-9, max_iters=1)
