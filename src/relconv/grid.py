@@ -9,6 +9,7 @@ floating-point and exact arithmetic based on which one they receive.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -59,23 +60,47 @@ class GridFunction:
         return f"<GridFunction {tag!r} N={self.N} ({mode})>"
 
 
-def _triple_row(v: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The on-grid triples a < b < c of one middle index b, as (a, c) matrices.
+def _triple_rows(N: int, defect: Callable) -> Callable[[np.ndarray], Iterator[tuple[int, np.ndarray]]]:
+    """Sweeps over the on-grid triples a < b < c, from tables built once.
 
-    Returns den = c - a, lam = (c - b)/(c - a) and the chord value
-    lam*v[a] + (1 - lam)*v[c] at b, a new array that callers add their
-    defect term to last, in place.  In-place steps round as the plain
-    expression does, with fewer temporaries.
+    A triple depends on its middle index b only through the offsets
+    i = b - a and j = c - b: den = c - a = i + j and lam = (c - b)/(c - a)
+    = j/(i + j).  The tables hold lam, 1 - lam and defect(den, lam) for
+    1 <= i, j <= N-1, rows by i descending and columns by j ascending, so
+    the (a, c) matrix of middle index b, a and c ascending, is the slice
+    [N-1-b : N-1, : N-b].  Entries with i + j > N belong to no triple;
+    defect sees den capped at N there, so it may index arrays of length N+1.
+
+    Returns rows(v), a generator of (b, rhs) for b = 1..N-1 with
+
+        rhs = lam*v[a] + (1 - lam)*v[c] + defect
+
+    evaluated in that order.  Row b reads v when it is reached, so a caller
+    writing v[b] sees the update in row b + 1.  rhs is a work buffer that
+    the next row overwrites.
     """
-    a = np.arange(0, b)
-    c = np.arange(b + 1, len(v))
-    den = c[None, :] - a[:, None]
-    lam = (c[None, :] - b) / den
-    chord = lam * v[:b, None]
+    i = np.arange(N - 1, 0, -1)[:, None]
+    j = np.arange(1, N)[None, :]
+    lam = j / (i + j)
     rest = 1.0 - lam
-    rest *= v[None, b + 1:]
-    chord += rest
-    return den, lam, chord
+    extra = defect(np.minimum(i + j, N), lam)
+    size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
+
+    def rows(v: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        buf = np.empty(size)
+        tmp = np.empty(size)
+        for b in range(1, N):
+            shape = (b, N - b)
+            rhs = buf[: b * (N - b)].reshape(shape)
+            part = tmp[: b * (N - b)].reshape(shape)
+            sl = np.s_[N - 1 - b : N - 1, : N - b]
+            np.multiply(lam[sl], v[:b, None], out=rhs)
+            np.multiply(rest[sl], v[None, b + 1 :], out=part)
+            rhs += part
+            rhs += extra[sl]
+            yield b, rhs
+
+    return rows
 
 
 def write_csv(f: GridFunction, path: str | Path) -> None:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relconv.convexity import (
@@ -62,7 +62,59 @@ def random_rationals(seed: int, n: int, numerators: int, denominator: int) -> li
     return [Fraction(rng.randrange(-numerators, numerators + 1), denominator) for _ in range(n)]
 
 
+def scalar_float_scan(f: GridFunction, tol: float, defect) -> tuple[list[tuple], float]:
+    """Slow oracle for the float scans: one triple at a time, same expression
+    order, rhs = lam*v[a] + (1 - lam)*v[c] + defect(c - a, lam)."""
+    v = f.floats()
+    N = f.N
+    out = []
+    worst = -math.inf
+    for b in range(1, N):
+        for a in range(b):
+            for c in range(b + 1, N + 1):
+                lam = (c - b) / (c - a)
+                rhs = lam * v[a] + (1.0 - lam) * v[c] + defect(c - a, lam)
+                worst = max(worst, v[b] - rhs)
+                if v[b] - rhs > tol:
+                    out.append((a, b, c, v[b], rhs, rhs - v[b]))
+    return sorted(out), worst
+
+
+def float_rows(out) -> tuple[list[tuple], float]:
+    return [(v.a, v.b, v.c, v.lhs, v.rhs, v.slack) for v in out], out.max_slack
+
+
 class TestAlmostConvex:
+    @pytest.mark.parametrize("N", [2, 5, 12, 20])
+    def test_float_scans_match_scalar_oracle(self, N):
+        for f in (scaled(majorant_grid(N), 1.3), scaled(parabola_grid(N), 1.1), sample_concave(N, N)):
+            for c, p in ((1, 1), (0.5, 1.5), (2, 2)):
+                spread = c * (np.arange(N + 1) / N) ** p
+                want = scalar_float_scan(f, 1e-9, lambda den, lam: spread[den])
+                assert float_rows(check_almost_convex(f, c, p)) == want
+            want = scalar_float_scan(f, 1e-9, lambda den, lam: majorant_values(np.array([lam]))[0] * (den / N))
+            assert float_rows(check_sharpened(f)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.integers(2, 12).flatmap(
+            lambda n: st.lists(st.fractions(-3, 3, max_denominator=20), min_size=n + 1, max_size=n + 1)
+        ),
+        c=st.fractions(-2, 2, max_denominator=6),
+    )
+    def test_float_scan_agrees_with_exact_scan(self, values, c):
+        # every exact gap is at least 1e-6 from zero, far outside tol = 1e-9
+        f = GridFunction(len(values) - 1, values)
+        exact = check_almost_convex(f, c)
+        floaty = check_almost_convex(GridFunction(f.N, f.floats()), float(c))
+        all_gaps = [
+            values[b] - Fraction(cc - b, cc - a) * values[a] - Fraction(b - a, cc - a) * values[cc] - c * Fraction(cc - a, f.N)
+            for b in range(1, f.N) for a in range(b) for cc in range(b + 1, f.N + 1)
+        ]
+        assume(all(abs(g) > Fraction(1, 10**6) for g in all_gaps))
+        assert [(v.a, v.b, v.c) for v in floaty] == [(v.a, v.b, v.c) for v in exact]
+        assert floaty.max_slack == pytest.approx(float(exact.max_slack), abs=1e-12)
+
     def test_majorant_grid_is_member(self):
         assert not check_almost_convex(majorant_grid(256))
 
@@ -242,6 +294,14 @@ class TestEndpointReduction:
         assert verdicts == [not check_almost_convex(f, 1, 1, 1e-9) for f in inputs]
         assert verdicts[-3:] == [False, True, True]
         assert True in verdicts and False in verdicts[:-3]
+
+    def test_exact_endpoint_verdict_implies_full_verdict(self):
+        # the apex is 1e-10 above the parabola: a violation inside the float
+        # tolerance, so a float endpoint scan would pass what the exact full
+        # scan rejects
+        f = make_tent(Fraction(1, 4), Fraction(3, 4) + Fraction(1, 10**10), 8)
+        assert check_endpoint_reduction(f) == (False, False)
+        assert check_endpoint_reduction(GridFunction(8, f.floats())) == (True, True)
 
     def test_concavity_required(self):
         x = np.arange(17) / 16

@@ -162,7 +162,54 @@ class TestRescale:
             rescale_majorant(0, 1, 1, 1.5)
 
 
+def scalar_sup_sweeps(p: float, N: int, tol: float, max_iters: int) -> tuple[np.ndarray, int, list[float]]:
+    """Slow oracle for estimate_sup: the Gauss-Seidel sweeps one triple at a time.
+
+    Same start, same spread table and the same expression order per triple,
+    rhs = lam*g[a] + (1 - lam)*g[c] + spread[c - a], so every float matches.
+    """
+    g = [1.0 if p == 1 else max(1.0, 2.0**p)] * (N + 1)
+    g[0] = g[N] = 0.0
+    spread = [float(s) for s in (np.arange(N + 1) / N) ** p]
+    decreases: list[float] = []
+    while len(decreases) < max_iters:
+        max_dec = 0.0
+        for b in range(1, N):
+            m = math.inf
+            for a in range(b):
+                for c in range(b + 1, N + 1):
+                    lam = (c - b) / (c - a)
+                    m = min(m, lam * g[a] + (1.0 - lam) * g[c] + spread[c - a])
+            if m < g[b]:
+                max_dec = max(max_dec, g[b] - m)
+                g[b] = m
+        decreases.append(max_dec)
+        if max_dec < tol:
+            break
+    return np.array(g), len(decreases), decreases
+
+
 class TestEstimateSup:
+    @pytest.mark.parametrize("p", [1, 1.5, 2])
+    @pytest.mark.parametrize("N", [2, 3, 7, 16, 24])
+    def test_matches_scalar_oracle_bit_for_bit(self, N, p):
+        for tol, max_iters in ((1e-9, 1000), (1e-15, 2)):
+            stats: dict = {}
+            try:
+                g = estimate_sup(p, N, tol=tol, max_iters=max_iters, stats=stats).floats()
+            except ConvergenceError as exc:
+                g = exc.last.floats()
+            want, iterations, decreases = scalar_sup_sweeps(p, N, tol, max_iters)
+            assert g.tobytes() == want.tobytes()
+            assert (stats["iterations"], stats["decreases"]) == (iterations, decreases)
+
+    def test_sweep_stats(self):
+        stats: dict = {}
+        estimate_sup(1, 20, stats=stats)
+        assert stats["triples"] == math.comb(21, 3)
+        assert len(stats["sweep_ms"]) == stats["iterations"]
+        assert all(type(t) is float and t >= 0 for t in stats["sweep_ms"])
+
     def test_three_point_grid(self):
         g = estimate_sup(1, 2, tol=1e-12)
         assert np.allclose(g.floats(), [0.0, 1.0, 0.0], atol=1e-12)
