@@ -68,8 +68,12 @@ def _triple_rows(N: int, defect: Callable) -> Callable[[np.ndarray], Iterator[tu
     = j/(i + j).  The tables hold lam, 1 - lam and defect(den, lam) for
     1 <= i, j <= N-1, rows by i descending and columns by j ascending, so
     the (a, c) matrix of middle index b, a and c ascending, is the slice
-    [N-1-b : N-1, : N-b].  Entries with i + j > N belong to no triple;
-    defect sees den capped at N there, so it may index arrays of length N+1.
+    [N-1-b : N-1, : N-b].  Every slice lies in the lower-left triangle
+    i + j <= N; the entries past it belong to no triple and are never read.
+    The tables are filled in blocks of about 2**16 entries, each block of
+    rows up to the triangle's edge at its last row, so defect runs on about
+    half the table and its temporaries stay block-sized.  Within a block
+    defect sees den capped at N, so it may index arrays of length N+1.
 
     Returns rows(v), a generator of (b, rhs) for b = 1..N-1 with
 
@@ -81,9 +85,17 @@ def _triple_rows(N: int, defect: Callable) -> Callable[[np.ndarray], Iterator[tu
     """
     i = np.arange(N - 1, 0, -1)[:, None]
     j = np.arange(1, N)[None, :]
-    lam = j / (i + j)
-    rest = 1.0 - lam
-    extra = defect(np.minimum(i + j, N), lam)
+    lam = np.empty((N - 1, N - 1))
+    rest = np.empty_like(lam)
+    extra = np.empty_like(lam)
+    step = max(1, 2**16 // N)
+    for r in range(0, N - 1, step):
+        end = min(r + step, N - 1)
+        blk = np.s_[r:end, :end]
+        den = i[r:end] + j[:, :end]
+        np.divide(j[:, :end], den, out=lam[blk])
+        np.subtract(1.0, lam[blk], out=rest[blk])
+        extra[blk] = defect(np.minimum(den, N, out=den), lam[blk])
     size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
 
     def rows(v: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
