@@ -302,6 +302,8 @@ class TestEndpointReduction:
         f = make_tent(Fraction(1, 4), Fraction(3, 4) + Fraction(1, 10**10), 8)
         assert check_endpoint_reduction(f) == (False, False)
         assert check_endpoint_reduction(GridFunction(8, f.floats())) == (True, True)
+        # the exact parabola meets the endpoint triple (0, 1/2, 1) with equality
+        assert check_endpoint_reduction(parabola_grid(8, exact=True)) == (True, True)
 
     def test_concavity_required(self):
         x = np.arange(17) / 16

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relconv.grid import GridFunction, read_csv, write_csv
+from relconv.grid import GridFunction, _triple_rows, read_csv, write_csv
 
 
 def test_resolution_and_length_validation():
@@ -45,3 +45,19 @@ def test_csv_header_validated(tmp_path):
     path.write_text("a,b,c\n0,0/2,0.0\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+@pytest.mark.parametrize("N", [2, 3, 24, 257, 400])
+def test_triple_rows_match_per_row_construction(N):
+    # N > 256 fills the tables in more than one block of rows.
+    v = np.random.default_rng(N).standard_normal(N + 1)
+    spread = (np.arange(N + 1) / N) ** 1.5
+    seen = []
+    for b, rhs in _triple_rows(N, lambda den, lam: spread[den] * lam)(v):
+        a = np.arange(b)[:, None]
+        c = np.arange(b + 1, N + 1)[None, :]
+        lam = (c - b) / (c - a)
+        want = lam * v[a] + (1.0 - lam) * v[c] + spread[c - a] * lam
+        assert rhs.tobytes() == want.tobytes()
+        seen.append(b)
+    assert seen == list(range(1, N))
