@@ -13,13 +13,11 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .cayley import AbelianGroup, ConnectionSet, GenericDigraph
-from .extremal import majorant
-from .isoperimetry import BOUND_TOL, digraph_profile, profile
+from .isoperimetry import BOUND_TOL, _bound, digraph_profile, profile
 
 
 @dataclass
@@ -117,7 +115,7 @@ def verify_catalog(entries: list[CatalogEntry], order_cap: int = 32) -> CatalogR
             wall_ms = (time.perf_counter() - t0) * 1e3
             for n, (mb, witness) in enumerate(minima):
                 if entry.m:
-                    bound = (d.n / entry.m) * majorant(Fraction(n, d.n)).value
+                    bound = _bound(d.n, entry.m, n)
                     ratio = mb / bound if bound > 0 else math.inf
                 else:
                     bound = math.nan

@@ -6,9 +6,7 @@ usage or configuration errors.
 
 Reports are JSON with a schema_version header and the run configuration
 embedded for reproducibility.  Everything except the wall_ms timing fields
-is deterministic for a fixed configuration.  The --threads flag is accepted
-but changes nothing, and is therefore not part of the serialized
-configuration.
+is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -234,9 +232,6 @@ def _cmd_counterexample(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; does not affect profile or verify-catalog, "
-                             "which search single-threaded")
     common.add_argument("--out", type=str, default=None, help="write a report to this path")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="report format for --out")
 

@@ -15,8 +15,9 @@ float64 division gives a correctly rounded max_slack; past that bound the
 same expressions run on Python ints in object arrays.  Otherwise the scan is
 floating point with a slack tolerance (violations require slack < -tol).
 
-Boolean callers such as check_endpoint_reduction stop at the first row
-holding a violation, through the same exact/float dispatch as the full scan.
+check_endpoint_reduction reads both of its verdicts off one pass of the
+same rows, with the same exact/float dispatch, and stops at the first row
+holding an endpoint violation (a = 0 or c = N).
 """
 
 from __future__ import annotations
@@ -104,14 +105,11 @@ def _scan_rows(f: GridFunction, c: float | Fraction, p: float, tol: float) -> It
     return _float_rows(f.floats(), tol, lambda den, lam: spread[den])
 
 
-def _integer_gaps(f: GridFunction, c_const: Fraction):
-    """(gaps, N*D): gaps(b, left, right) gives (G, den) over a in left, c in right.
-
-    Scaled by D = lcm of all denominators, F = D*f and C = D*c are
-    integers, and multiplying gap = f[b] - rhs by N*D*(c-a) > 0 gives
-      G = N*((c-a)F[b] - (c-b)F[a] - (b-a)F[c]) - C*(c-a)**2,
-    so a triple violates exactly when G > 0.
-    """
+def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Violation], float]]:
+    # Scaled by D = lcm of all denominators, F = D*f and C = D*c are
+    # integers, and multiplying gap = f[b] - rhs by N*D*(c-a) > 0 gives
+    #   G = N*((c-a)F[b] - (c-b)F[a] - (b-a)F[c]) - C*(c-a)**2,
+    # so a triple violates exactly when G > 0.
     N = f.N
     vals = f.values
     D = math.lcm(c_const.denominator, *(v.denominator for v in vals))
@@ -126,27 +124,16 @@ def _integer_gaps(f: GridFunction, c_const: Fraction):
     dtype = np.int64 if fits else object
     F = np.array(F, dtype=dtype)
     idx = np.arange(N + 1).astype(dtype)
-
-    def gaps(b: int, left: slice, right: slice) -> tuple[np.ndarray, np.ndarray]:
-        a = idx[left, None]
-        c = idx[None, right]
-        den = c - a
-        return N * (den * F[b] - (c - b) * F[left, None] - (b - a) * F[None, right]) - C * den * den, den
-
-    return gaps, N * D
-
-
-def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Violation], float]]:
-    N = f.N
-    vals = f.values
-    gaps, scale = _integer_gaps(f, c_const)
     for b in range(1, N):
-        G, den = gaps(b, slice(0, b), slice(b + 1, None))
-        worst = float((G / (scale * den)).max())
+        a = idx[:b, None]
+        c = idx[None, b + 1:]
+        den = c - a
+        G = N * (den * F[b] - (c - b) * F[:b, None] - (b - a) * F[None, b + 1:]) - C * den * den
+        worst = float((G / (N * D * den)).max())
         lhs = vals[b]
         row = []
         for ai, ci in np.argwhere(G > 0):
-            gap = Fraction(int(G[ai, ci]), scale * int(den[ai, ci]))
+            gap = Fraction(int(G[ai, ci]), N * D * int(den[ai, ci]))
             row.append(Violation(int(ai), b, b + 1 + int(ci), lhs, lhs - gap, -gap))
         yield row, worst
 
@@ -310,38 +297,19 @@ def check_endpoint_reduction(f: GridFunction, tol: float = 1e-9) -> tuple[bool, 
     """(endpoint_ok, full_ok) for a concave grid function.
 
     endpoint_ok checks the relaxed-convexity inequality only on triples
-    touching the boundary (a = 0 or c = N); full_ok scans all triples.  For
-    concave functions the endpoint scan is decisive, which the property
-    harness asserts as endpoint_ok => full_ok.  Both verdicts are exact for
-    exact inputs and use the slack tolerance tol for float inputs.
+    touching the boundary (a = 0 or c = N); full_ok checks all triples.  For
+    concave functions the endpoint triples are decisive, which the property
+    harness asserts as endpoint_ok => full_ok.  Both verdicts come from one
+    row scan, exact for exact inputs and with the slack tolerance tol for
+    float inputs; it stops at the first endpoint violation, which fails both.
     """
     _require_concave(f)
-    N = f.N
-    if f.is_exact:
-        gaps, _ = _integer_gaps(f, Fraction(1))
-        endpoint_ok = not any(
-            (gaps(b, slice(0, 1), slice(b + 1, None))[0] > 0).any()
-            or (gaps(b, slice(0, b), slice(N, None))[0] > 0).any()
-            for b in range(1, N)
-        )
-    else:
-        vals = f.floats()
-        endpoint_ok = True
-        for b in range(1, N):
-            c = np.arange(b + 1, N + 1)
-            rhs = ((c - b) / c) * vals[0] + (b / c) * vals[c] + c / N
-            if np.any(vals[b] - rhs > tol):
-                endpoint_ok = False
-                break
-            a = np.arange(0, b)
-            den = N - a
-            lam = (N - b) / den
-            rhs = lam * vals[a] + (1.0 - lam) * vals[N] + den / N
-            if np.any(vals[b] - rhs > tol):
-                endpoint_ok = False
-                break
-    full_ok = not any(row for row, _ in _scan_rows(f, 1, 1, tol))
-    return endpoint_ok, full_ok
+    full_ok = True
+    for row, _ in _scan_rows(f, 1, 1, tol):
+        if any(v.a == 0 or v.c == f.N for v in row):
+            return False, False
+        full_ok = full_ok and not row
+    return True, full_ok
 
 
 def sample_concave(N: int, seed: int, cap: GridFunction | None = None) -> GridFunction:

@@ -247,10 +247,20 @@ def boundary_lower_bound(
     order = group.order
     if not 0 <= n <= order:
         raise ValueError(f"cardinality {n} out of range for group order {order}")
+    return _bound(order, _exponent(group, s, m_override), n)
+
+
+def _exponent(group: AbelianGroup, s: ConnectionSet, m_override: int | None) -> int:
+    """m_override, or by default the largest element order in S, which it may not undercut."""
     least = max_order(group, s)
     m = least if m_override is None else int(m_override)
     if m < least:
         raise ValueError(f"m={m} is smaller than the maximal element order {least} of S")
+    return m
+
+
+def _bound(order: int, m: int, n: int) -> float:
+    """(order/m) * E(n/order): the bound on the boundary of an n-subset."""
     return (order / m) * majorant(Fraction(n, order)).value
 
 
@@ -274,15 +284,12 @@ def profile(
     generating = is_generating(group, s)
     if not generating:
         warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
-    least = max_order(group, s)
-    m = least if m_override is None else int(m_override)
-    if m < least:
-        raise ValueError(f"m={m} is smaller than the maximal element order {least} of S")
+    m = _exponent(group, s, m_override)
 
     t0 = time.perf_counter()
     entries = []
     for n, (mb, bits) in enumerate(_cayley_minima(group, s)):
-        bound = (order / m) * majorant(Fraction(n, order)).value
+        bound = _bound(order, m, n)
         ratio = mb / bound if bound > 0 else math.inf
         entries.append(ProfileEntry(n, mb, VertexSet(bits, order), bound, ratio))
     # identity-containing proper subsets, against all nonempty proper subsets
@@ -344,7 +351,7 @@ def six_cycle_counterexample(path_len: int = 1) -> tuple[int, float]:
     cycle = GenericDigraph.bidirectional_cycle(6)
     a = VertexSet.from_indices(range(path_len), 6)
     boundary = digraph_boundary(cycle, a)
-    bound = 3.0 * majorant(Fraction(path_len, 6)).value
+    bound = _bound(6, 2, path_len)
     if not boundary < bound:
         raise RuntimeError(f"expected failure of the bound, got {boundary} >= {bound}")
     return boundary, bound

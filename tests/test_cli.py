@@ -130,8 +130,8 @@ class TestCheckClass:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["check-class", "--fn", "builtin:F", "--class", "Fm:3", "--n", "60",
                 "--samples", "5000", "--seed", "9"]
-        run(capsys, *argv, "--report", str(a), "--threads", "1")
-        run(capsys, *argv, "--report", str(b), "--threads", "4")
+        run(capsys, *argv, "--report", str(a))
+        run(capsys, *argv, "--report", str(b))
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -146,10 +146,10 @@ class TestProfile:
         assert tight["min_boundary"] == 4 and tight["ratio"] == 1.0
         assert r["entries"][0]["ratio"] is None
 
-    def test_identical_reports_across_thread_counts(self, capsys, tmp_path):
+    def test_identical_reports_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "profile", "--group", "Z2xZ6", "--s", "basis", "--out", str(a), "--threads", "1")
-        run(capsys, "profile", "--group", "Z2xZ6", "--s", "basis", "--out", str(b), "--threads", "4")
+        run(capsys, "profile", "--group", "Z2xZ6", "--s", "basis", "--out", str(a))
+        run(capsys, "profile", "--group", "Z2xZ6", "--s", "basis", "--out", str(b))
         ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
         ra["stats"].pop("wall_ms"), rb["stats"].pop("wall_ms")
         assert json.dumps(ra) == json.dumps(rb)

@@ -302,6 +302,11 @@ class TestEndpointReduction:
         f = make_tent(Fraction(1, 4), Fraction(3, 4) + Fraction(1, 10**10), 8)
         assert check_endpoint_reduction(f) == (False, False)
         assert check_endpoint_reduction(GridFunction(8, f.floats())) == (True, True)
+        # the mirrored tent fails only at (4, 6, 8) and (5, 6, 7): the c = N
+        # side alone decides its endpoint verdict
+        g = make_tent(Fraction(3, 4), Fraction(3, 4) + Fraction(1, 10**10), 8)
+        assert [(v.a, v.b, v.c) for v in check_almost_convex(g)] == [(4, 6, 8), (5, 6, 7)]
+        assert check_endpoint_reduction(g) == (False, False)
         # the exact parabola meets the endpoint triple (0, 1/2, 1) with equality
         assert check_endpoint_reduction(parabola_grid(8, exact=True)) == (True, True)
 
