@@ -16,7 +16,6 @@ from .cayley import (
     VertexSet,
     digraph_boundary,
     edge_boundary,
-    edge_boundary_naive,
     element_order,
     is_generating,
     max_order,
@@ -55,9 +54,7 @@ from .isoperimetry import (
     ProfileEntry,
     ProfileReport,
     boundary_lower_bound,
-    digraph_min_boundary,
     digraph_profile,
-    min_boundary,
     min_boundary_unrestricted,
     profile,
     six_cycle_counterexample,

@@ -228,31 +228,14 @@ def max_order(group: AbelianGroup, s: ConnectionSet) -> int:
 
 
 def edge_boundary(group: AbelianGroup, s: ConnectionSet, a: VertexSet) -> int:
-    """Count pairs (x, e) with x in A and x + e outside A, via bitsets.
+    """Count pairs (x, e) with x in A and x + e outside A, by a double loop over A x S.
 
-    For each e the departures are popcount(A & ~B) where B holds the
-    elements whose e-shift lands in A.
+    It adds through group.add, not the shift tables, so it stays an oracle
+    independent of the subset-search kernel.
     """
     if a.size != group.order:
         raise ValueError(f"vertex set size {a.size} != group order {group.order}")
-    bits = a.bits
-    total = 0
-    for e in s:
-        tab = group.shift_table(e)
-        b = 0
-        for x in range(group.order):
-            if bits >> int(tab[x]) & 1:
-                b |= 1 << x
-        total += (bits & ~b).bit_count()
-    return total
-
-
-def edge_boundary_naive(group: AbelianGroup, s: ConnectionSet, a: VertexSet) -> int:
-    """Reference double loop over A x S; oracle for the bitset path."""
-    if a.size != group.order:
-        raise ValueError(f"vertex set size {a.size} != group order {group.order}")
-    members = a.indices()
-    return sum(1 for x in members for e in s if not a.contains(group.add(x, e)))
+    return sum(1 for x in a.indices() for e in s if not a.contains(group.add(x, e)))
 
 
 @dataclass(frozen=True)
@@ -287,7 +270,7 @@ def digraph_boundary(d: GenericDigraph, a: VertexSet) -> int:
 def undirected_cut(group: AbelianGroup, s: ConnectionSet, a: VertexSet) -> int:
     """Cut size of A in the undirected Cayley graph on S union -S.
 
-    Independent of the bitset path: enumerates unordered adjacent pairs and
+    Independent of edge_boundary: enumerates unordered adjacent pairs and
     counts those split by A.  Each such edge corresponds to exactly one
     directed departure under the symmetrized connection set.
     """

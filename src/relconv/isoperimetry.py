@@ -25,7 +25,8 @@ reduction per block.
 Cayley enumeration is canonicalized to sets containing the identity: the
 boundary is translation invariant, and every translation orbit contains
 such a set, so the minimum is preserved while the work halves.  Arc lists
-need not be vertex-transitive and are searched over all 2^n subsets.
+need not be vertex-transitive and are searched over all 2^n subsets.  The
+kernel refuses graphs of either kind past ORDER_CAP vertices.
 """
 
 from __future__ import annotations
@@ -46,13 +47,16 @@ from .cayley import (
     GenericDigraph,
     VertexSet,
     digraph_boundary,
-    edge_boundary_naive,
+    edge_boundary,
     is_generating,
     max_order,
 )
 from .extremal import majorant
 
 BOUND_TOL = 1e-9
+# Largest graph the exhaustive search accepts: 2^31 identity-containing
+# subsets of a Cayley digraph, 2^32 subsets of an arc list.
+ORDER_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,8 @@ def _subset_minima(order: int, layers: list[tuple[np.ndarray, np.ndarray]], iden
 
     Each layer is a pair of index sequences (src, dst) naming arcs src -> dst,
     with every source at most once.  With identity=True only the sets that
-    contain vertex 0 are enumerated, and cardinality 0 is (0, 0).
+    contain vertex 0 are enumerated, and cardinality 0 is (0, 0).  Graphs of
+    more than ORDER_CAP vertices raise ValueError before any enumeration.
 
     Masks hold vertex v at bit order-1-v, so that among sets of one size the
     lex-first sorted tuple, which owns the lowest differing vertex, is the
@@ -145,6 +150,8 @@ def _subset_minima(order: int, layers: list[tuple[np.ndarray, np.ndarray]], iden
     arcs = sum(len(src) for src, _ in layers)
     if order + arcs.bit_length() > 64:
         raise ValueError(f"{order} vertices and {arcs} arcs exceed the 64-bit search keys")
+    if order > ORDER_CAP:
+        raise ValueError(f"order {order} exceeds exhaustive-search cap {ORDER_CAP}")
     full = (1 << order) - 1
     # pre[l, p]: the vertices whose layer-l image sits at bit p
     pre = np.zeros((len(layers), order), dtype=np.uint64)
@@ -192,29 +199,6 @@ def _subset_minima(order: int, layers: list[tuple[np.ndarray, np.ndarray]], iden
     return result
 
 
-def _cayley_minima(group: AbelianGroup, s: ConnectionSet) -> list[tuple[int, int]]:
-    """Kernel minima over identity-containing sets (valid by translation invariance)."""
-    src = np.arange(group.order)
-    return _subset_minima(group.order, [(src, group.shift_table(e)) for e in s], identity=True)
-
-
-def min_boundary(group: AbelianGroup, s: ConnectionSet, n: int) -> tuple[int, VertexSet]:
-    """Exact minimum edge boundary over all n-element subsets, with witness.
-
-    Enumeration is restricted to subsets containing the identity (valid by
-    translation invariance); ties go to the lexicographically smallest
-    witness.  A non-generating S only warns: the result is still the exact
-    minimum, the lower bound just need not apply.
-    """
-    order = group.order
-    if not 0 <= n <= order:
-        raise ValueError(f"cardinality {n} out of range for group order {order}")
-    if not is_generating(group, s):
-        warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
-    mb, bits = _cayley_minima(group, s)[n]
-    return mb, VertexSet(bits, order)
-
-
 def min_boundary_unrestricted(group: AbelianGroup, s: ConnectionSet, n: int) -> tuple[int, VertexSet]:
     """Slow oracle: every n-subset in lex order, each counted by the naive double loop.
 
@@ -227,7 +211,7 @@ def min_boundary_unrestricted(group: AbelianGroup, s: ConnectionSet, n: int) -> 
     best = None
     for combo in itertools.combinations(range(order), n):
         a = VertexSet.from_indices(combo, order)
-        b = edge_boundary_naive(group, s, a)
+        b = edge_boundary(group, s, a)
         if best is None or b < best[0]:
             best = (b, a)
     return best
@@ -264,34 +248,33 @@ def _bound(order: int, m: int, n: int) -> float:
     return (order / m) * majorant(Fraction(n, order)).value
 
 
-def profile(
-    group: AbelianGroup,
-    s: ConnectionSet,
-    m_override: int | None = None,
-    order_cap: int = 32,
-) -> ProfileReport:
+def _entry(order: int, m: int | None, n: int, mb: int, witness: VertexSet) -> ProfileEntry:
+    """The profile cell of cardinality n; without an m there is no bound, and bound and ratio are nan."""
+    bound = _bound(order, m, n) if m else math.nan
+    return ProfileEntry(n, mb, witness, bound, math.inf if bound == 0 else mb / bound)
+
+
+def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None) -> ProfileReport:
     """Full isoperimetric profile for n = 0..|G| with bound and ratios.
 
     One kernel pass over the identity-containing subsets serves every
     cardinality; the result is deterministic for a given (group, S).  If S
     generates the group, a bound violation is mathematically impossible and
     raises RuntimeError; with non-generating S the entries are computed
-    anyway and violations are merely reported.
+    anyway and violations are merely reported.  Groups of more than
+    ORDER_CAP elements raise ValueError.
     """
     order = group.order
-    if order > order_cap:
-        raise ValueError(f"group order {order} exceeds exhaustive-search cap {order_cap}")
     generating = is_generating(group, s)
     if not generating:
         warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
     m = _exponent(group, s, m_override)
 
     t0 = time.perf_counter()
-    entries = []
-    for n, (mb, bits) in enumerate(_cayley_minima(group, s)):
-        bound = _bound(order, m, n)
-        ratio = mb / bound if bound > 0 else math.inf
-        entries.append(ProfileEntry(n, mb, VertexSet(bits, order), bound, ratio))
+    # identity-containing sets suffice: the boundary is translation invariant
+    src = np.arange(order)
+    minima = _subset_minima(order, [(src, group.shift_table(e)) for e in s], identity=True)
+    entries = [_entry(order, m, n, mb, VertexSet(bits, order)) for n, (mb, bits) in enumerate(minima)]
     # identity-containing proper subsets, against all nonempty proper subsets
     enumerated = 2 ** (order - 1) - 1
     report = ProfileReport(
@@ -329,13 +312,6 @@ def digraph_profile(d: GenericDigraph) -> list[tuple[int, VertexSet]]:
         layers[out_degree[u]][1].append(v)
         out_degree[u] += 1
     return [(mb, VertexSet(bits, d.n)) for mb, bits in _subset_minima(d.n, layers, identity=False)]
-
-
-def digraph_min_boundary(d: GenericDigraph, n: int) -> tuple[int, VertexSet]:
-    """Exhaustive minimum boundary over n-subsets of an explicit digraph."""
-    if not 0 <= n <= d.n:
-        raise ValueError(f"cardinality {n} out of range for digraph order {d.n}")
-    return digraph_profile(d)[n]
 
 
 def six_cycle_counterexample(path_len: int = 1) -> tuple[int, float]:

@@ -1,8 +1,14 @@
 import csv
 import json
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
+import relconv
+from relconv import isoperimetry
 from relconv.cli import main
 
 
@@ -131,8 +137,13 @@ class TestCheckClass:
         argv = ["check-class", "--fn", "builtin:F", "--class", "Fm:3", "--n", "60",
                 "--samples", "5000", "--seed", "9"]
         run(capsys, *argv, "--report", str(a))
-        run(capsys, *argv, "--report", str(b))
+        run(capsys, *argv, "--out", str(b))  # --report is a second spelling of --out
         assert a.read_bytes() == b.read_bytes()
+
+    def test_format_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["check-class", "--fn", "builtin:F", "--class", "F", "--n", "8", "--format", "csv"])
+        assert ei.value.code == 2
 
 
 class TestProfile:
@@ -191,6 +202,35 @@ class TestVerifyCatalog:
 
     def test_missing_catalog_is_config_error(self, capsys, tmp_path):
         assert run(capsys, "verify-catalog", "--catalog", str(tmp_path / "nope.json"))[0] == 2
+
+    def test_format_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-catalog", "--format", "json"])
+        assert ei.value.code == 2
+
+    def test_bound_violation_exits_one(self, capsys, tmp_path, monkeypatch):
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps({"entries": [{"name": "Z4", "group": "Z4", "s": "(1)"}]}))
+        monkeypatch.setattr(isoperimetry, "_bound", lambda order, m, n: order + 1.0)
+        code = main(["verify-catalog", "--catalog", str(cat)])
+        assert code == 1
+        assert "error: bound violated on Z4" in capsys.readouterr().err
+
+    def test_runs_from_a_zip_import(self, tmp_path):
+        package = Path(relconv.__file__).parent
+        archive = tmp_path / "relconv.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in package.rglob("*"):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zf.write(path, path.relative_to(package.parent).as_posix())
+        program = (
+            f"import sys; sys.path.insert(0, {str(archive)!r}); import relconv.cli; "
+            f"assert relconv.cli.__file__.startswith({str(archive)!r}); "
+            "sys.exit(relconv.cli.main(['verify-catalog']))"
+        )
+        proc = subprocess.run([sys.executable, "-c", program], cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("48 catalog entries")
 
 
 class TestCounterexample:

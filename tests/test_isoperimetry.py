@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relconv import isoperimetry
 from relconv.catalog import load_catalog, verify_catalog
 from relconv.cayley import (
     AbelianGroup,
@@ -14,17 +16,20 @@ from relconv.cayley import (
     VertexSet,
     digraph_boundary,
     edge_boundary,
-    edge_boundary_naive,
 )
 from relconv.isoperimetry import (
+    ORDER_CAP,
+    _subset_minima,
     boundary_lower_bound,
-    digraph_min_boundary,
     digraph_profile,
-    min_boundary,
     min_boundary_unrestricted,
     profile,
     six_cycle_counterexample,
 )
+
+
+def _search_started(w):
+    raise AssertionError("the subset enumeration started")
 
 
 def group_and_set(gtext: str, stext: str):
@@ -35,38 +40,42 @@ def group_and_set(gtext: str, stext: str):
 class TestMinBoundary:
     def test_interval_is_optimal_on_directed_cycle(self):
         g, s = group_and_set("Z6", "(1)")
-        mb, witness = min_boundary(g, s, 3)
+        e = profile(g, s).entries[3]
+        mb, witness = e.min_boundary, e.witness
         assert mb == 1
         assert witness.indices() == [0, 1, 2]
 
     def test_subcube_is_optimal_on_cube(self):
         g, s = group_and_set("Z2xZ2xZ2", "basis")
-        mb, witness = min_boundary(g, s, 4)
+        e = profile(g, s).entries[4]
+        mb, witness = e.min_boundary, e.witness
         assert mb == 4
         assert witness.popcount() == 4
         assert edge_boundary(g, s, witness) == 4
 
     def test_trivial_cardinalities(self):
         g, s = group_and_set("Z5", "(1)")
-        assert min_boundary(g, s, 0) == (0, VertexSet(0, 5))
-        assert min_boundary(g, s, 5)[0] == 0
+        entries = profile(g, s).entries
+        assert (entries[0].min_boundary, entries[0].witness) == (0, VertexSet(0, 5))
+        assert entries[5].min_boundary == 0
 
     def test_out_of_range(self):
         g, s = group_and_set("Z4", "(1)")
         with pytest.raises(ValueError):
-            min_boundary(g, s, 5)
+            min_boundary_unrestricted(g, s, 5)
 
     def test_nongenerating_warns(self):
         g, s = group_and_set("Z2xZ2", "(1,0)")
         with pytest.warns(UserWarning, match="does not generate"):
-            min_boundary(g, s, 2)
+            profile(g, s)
 
     def test_exhaustive_oracle_small_cases(self):
         cases = [("Z6", "(1)"), ("Z2xZ4", "basis"), ("Z3xZ3", "(1,0),(1,1)"), ("Z12", "(3),(4)")]
         for gtext, stext in cases:
             g, s = group_and_set(gtext, stext)
+            report = profile(g, s)
             for n in range(g.order + 1):
-                canonical, w1 = min_boundary(g, s, n)
+                canonical, w1 = report.entries[n].min_boundary, report.entries[n].witness
                 unrestricted, w2 = min_boundary_unrestricted(g, s, n)
                 assert canonical == unrestricted
                 assert edge_boundary(g, s, w1) == canonical
@@ -128,11 +137,9 @@ class TestProfile:
             assert not report.bound_violations()
 
     def test_order_cap(self):
-        g, s = group_and_set("Z2xZ2xZ2xZ2xZ2xZ2", "basis")
-        with pytest.raises(ValueError):
-            profile(g, s, order_cap=32)
-        with pytest.raises(ValueError, match="64-bit"):  # past the cap, the search keys overflow
-            profile(g, s, order_cap=64)
+        g, s = group_and_set(f"Z{ORDER_CAP + 1}", "(1)")
+        with pytest.raises(ValueError, match="cap"):
+            profile(g, s)
 
     def test_config_does_not_change_results(self):
         # a fresh group builds its shift tables cold; the second call reuses them
@@ -146,8 +153,7 @@ class TestProfile:
         warm = stripped(profile(g, s))
         assert cold == warm
         g2, s2 = group_and_set("Z2xZ6", "basis")
-        assert stripped(profile(g2, s2, order_cap=24)) == cold
-        assert stripped(profile(g2, s2, order_cap=32)) == cold
+        assert stripped(profile(g2, s2)) == cold
 
     def test_m_override_scales_bounds(self):
         g, s = group_and_set("Z3xZ3", "basis")
@@ -165,6 +171,19 @@ class TestKernel:
         report = profile(g, ConnectionSet.basis(g))
         want = [d * n - 2 * sum(i.bit_count() for i in range(n)) for n in range(2**d + 1)]
         assert [e.min_boundary for e in report.entries] == want
+
+    def test_key_guard_precedes_cap(self):
+        loop = (list(range(60)), list(range(60)))
+        with pytest.raises(ValueError, match="64-bit"):  # 60 vertices + 6 bits of arc count
+            _subset_minima(60, [loop], identity=False)
+        with pytest.raises(ValueError, match="cap"):
+            _subset_minima(ORDER_CAP + 1, [], identity=False)
+
+    def test_arc_list_past_cap_refused_before_search(self, monkeypatch):
+        monkeypatch.setattr(isoperimetry, "_low_parts", _search_started)
+        n = ORDER_CAP + 1
+        with pytest.raises(ValueError, match="cap"):
+            digraph_profile(GenericDigraph(n, ((0, 1), (1, 0))))
 
     def test_counts_match_identity_canonical_search(self):
         report = profile(*group_and_set("Z3xZ3", "basis"))
@@ -186,7 +205,6 @@ class TestKernel:
             counts = [digraph_boundary(d, a) for a in sets]
             best = min(counts)
             assert got[k] == (best, sets[counts.index(best)])  # the first minimizer in lex order
-            assert digraph_min_boundary(d, k) == got[k]
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -203,7 +221,7 @@ class TestKernel:
             mb, _ = min_boundary_unrestricted(g, s, n)
             # the lex-first minimizer among the identity-containing n-subsets
             sets = [VertexSet.from_indices((0, *c), g.order) for c in itertools.combinations(range(1, g.order), n - 1)]
-            counts = [edge_boundary_naive(g, s, a) for a in sets]
+            counts = [edge_boundary(g, s, a) for a in sets]
             e = report.entries[n]
             assert e.min_boundary == mb == min(counts)
             assert e.witness == sets[counts.index(mb)]
@@ -227,7 +245,7 @@ class TestCounterexample:
     def test_digraph_min_boundary_on_cycle(self):
         d = GenericDigraph.bidirectional_cycle(6)
         for n in range(1, 6):
-            mb, witness = digraph_min_boundary(d, n)
+            mb, witness = digraph_profile(d)[n]
             assert mb == 2
             assert witness.popcount() == n
 
@@ -249,6 +267,15 @@ class TestCatalog:
             if e.is_cayley:
                 assert is_generating(e.group, e.s), e.name
 
+    def test_arc_list_past_cap_refused_before_search(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(isoperimetry, "_low_parts", _search_started)
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"entries": [
+            {"name": "big", "m": 2, "digraph": {"n": ORDER_CAP + 1, "arcs": [[0, 1], [1, 0]]}},
+        ]}))
+        with pytest.raises(ValueError, match="cap"):
+            verify_catalog(load_catalog(path))
+
     def test_small_catalog_verification(self, tmp_path):
         path = tmp_path / "cat.json"
         path.write_text(
@@ -256,9 +283,8 @@ class TestCatalog:
             '{"name": "Z5", "group": "Z5", "s": "(1)"},'
             '{"name": "cube", "group": "Z2xZ2", "s": "basis"}]}'
         )
-        results = verify_catalog(load_catalog(path))
-        assert results.ok
-        assert len(results.rows) == 6 + 5
-        cube_rows = [r for r in results.rows if r["group"] == "Z2xZ2"]
+        rows = verify_catalog(load_catalog(path))
+        assert len(rows) == 6 + 5
+        cube_rows = [r for r in rows if r["group"] == "Z2xZ2"]
         tight = [r for r in cube_rows if r["n"] == 2][0]
         assert tight["ratio"] == 1.0
