@@ -83,17 +83,17 @@ def verify_catalog(entries: list[CatalogEntry]) -> list[dict]:
         t0 = time.perf_counter()
         if entry.is_cayley:
             report = profile(entry.group, entry.s, m_override=entry.m)
-            group, s, cells = report.group, report.connection_set, report.entries
+            label, s_text, cells = report.group, report.connection_set, report.entries
         else:
             d = entry.digraph
-            group, s = entry.name, "arc-list"
+            label, s_text = entry.name, "arc-list"
             cells = [_entry(d.n, entry.m, n, mb, w) for n, (mb, w) in enumerate(digraph_profile(d))]
         wall_ms = (time.perf_counter() - t0) * 1e3
         for e in cells:
             rows.append(
                 {
-                    "group": group,
-                    "S": s,
+                    "group": label,
+                    "S": s_text,
                     "n": e.n,
                     "min_boundary": e.min_boundary,
                     "bound": e.bound,
