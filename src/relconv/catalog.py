@@ -38,31 +38,43 @@ def default_catalog_path() -> resources.abc.Traversable:
 
 
 def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
-    """Load catalog entries from JSON (the built-in catalog by default)."""
+    """Load catalog entries from JSON (the built-in catalog by default).
+
+    The file is outside input: a catalog without entries, or an entry that
+    lacks a key its kind needs, raises ValueError naming the entry's index.
+    """
     raw = json.loads((Path(path) if path else default_catalog_path()).read_text())
+    items = raw.get("entries") if isinstance(raw, dict) else None
+    if not isinstance(items, list) or not items:
+        raise ValueError("catalog has no entries")
     entries = []
-    for item in raw["entries"]:
-        if "group" in item:
-            group = AbelianGroup.parse(item["group"])
-            entries.append(
-                CatalogEntry(
-                    name=item["name"],
-                    group=group,
-                    s=ConnectionSet.from_text(group, item["s"]),
-                    m=item.get("m"),
+    for i, item in enumerate(items):
+        try:
+            if not isinstance(item, dict):
+                raise ValueError(f"catalog entry {i} is not an object")
+            if "group" in item:
+                group = AbelianGroup.parse(item["group"])
+                entries.append(
+                    CatalogEntry(
+                        name=item["name"],
+                        group=group,
+                        s=ConnectionSet.from_text(group, item["s"]),
+                        m=item.get("m"),
+                    )
                 )
-            )
-        elif "digraph" in item:
-            d = item["digraph"]
-            entries.append(
-                CatalogEntry(
-                    name=item["name"],
-                    digraph=GenericDigraph(d["n"], tuple((u, v) for u, v in d["arcs"])),
-                    m=item.get("m"),
+            elif "digraph" in item:
+                d = item["digraph"]
+                entries.append(
+                    CatalogEntry(
+                        name=item["name"],
+                        digraph=GenericDigraph(d["n"], tuple((u, v) for u, v in d["arcs"])),
+                        m=item.get("m"),
+                    )
                 )
-            )
-        else:
-            raise ValueError(f"catalog entry {item.get('name')!r} has neither group nor digraph")
+            else:
+                raise ValueError(f"catalog entry {i} ({item.get('name')!r}) has neither group nor digraph")
+        except KeyError as exc:
+            raise ValueError(f"catalog entry {i} lacks key {exc}") from None
     return entries
 
 

@@ -36,7 +36,6 @@ class AbelianGroup:
                 x //= n
             self._coords.append(tuple(t))
         self._index = {c: i for i, c in enumerate(self._coords)}
-        self._shift_tables: dict[int, np.ndarray] = {}
 
     def coords(self, g: int) -> tuple[int, ...]:
         return self._coords[g]
@@ -56,12 +55,11 @@ class AbelianGroup:
         return range(self.order)
 
     def shift_table(self, s: int) -> np.ndarray:
-        """Permutation table t with t[x] = x + s, cached per s."""
-        tab = self._shift_tables.get(s)
-        if tab is None:
-            tab = np.array([self.add(x, s) for x in range(self.order)])
-            self._shift_tables[s] = tab
-        return tab
+        """Permutation table t with t[x] = x + s, added per mixed-radix digit."""
+        # the first factor is the least significant digit: numpy's order="F"
+        digits = np.unravel_index(np.arange(self.order), self.factors, order="F")
+        shifted = [(d + c) % n for d, c, n in zip(digits, self._coords[s], self.factors)]
+        return np.ravel_multi_index(shifted, self.factors, order="F")
 
     def describe(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)

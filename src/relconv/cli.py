@@ -1,9 +1,9 @@
 """Command-line front-end: every operation as a subcommand.
 
-Exit codes: 0 on success with all checked inequalities holding, 1 when any
-checked inequality is violated (the violations land in the report; a bound
-violation with a generating S is reported as an error), 2 on usage or
-configuration errors.
+Exit codes, all set by `main`: 0 on success with all checked inequalities
+holding, 1 when any checked inequality is violated (the violations land in
+the report; a bound violation with a generating S is an `error:` line), 2 on
+usage or configuration errors, unreadable inputs and unwritable outputs.
 
 Reports are JSON with a schema_version header and the run configuration
 embedded for reproducibility.  Everything except the wall_ms timing fields
@@ -51,12 +51,8 @@ def _report(config: dict, body: dict) -> dict:
 
 
 def _cmd_eval_f(args) -> int:
-    try:
-        x = Fraction(args.x)
-        mv = majorant(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    x = Fraction(args.x)
+    mv = majorant(x)
     print(f"F({args.x}) = {mv.value!r}  (k = {mv.branch})")
     if args.out:
         _write_json(args.out, _report(
@@ -67,11 +63,7 @@ def _cmd_eval_f(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    try:
-        b = branch_point(args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    b = branch_point(args.k)
     print(f"beta({args.k}) = {b} (~= {float(b)!r})")
     if args.out:
         _write_json(args.out, _report(
@@ -86,9 +78,6 @@ def _cmd_estimate_sup(args) -> int:
     code = 0
     try:
         g = estimate_sup(args.p, args.n, tol=args.tol, max_iters=args.max_iters, stats=stats)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         g = exc.last
@@ -126,22 +115,18 @@ def _load_fn(source: str, n: int | None) -> GridFunction:
 
 
 def _cmd_check_class(args) -> int:
-    try:
-        f = _load_fn(args.fn, args.n)
-        klass = args.klass
-        if klass == "F":
-            violations = check_almost_convex(f)
-        elif klass == "F0":
-            violations = check_almost_convex_anchored(f)
-        elif klass.startswith("Fm:"):
-            violations = check_mean_inequality(f, int(klass[3:]), samples=args.samples, seed=args.seed)
-        elif klass == "strong":
-            violations = check_sharpened(f)
-        else:
-            raise ValueError(f"unknown class {klass!r} (want F, F0, Fm:m, or strong)")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = _load_fn(args.fn, args.n)
+    klass = args.klass
+    if klass == "F":
+        violations = check_almost_convex(f)
+    elif klass == "F0":
+        violations = check_almost_convex_anchored(f)
+    elif klass.startswith("Fm:"):
+        violations = check_mean_inequality(f, int(klass[3:]), samples=args.samples, seed=args.seed)
+    elif klass == "strong":
+        violations = check_sharpened(f)
+    else:
+        raise ValueError(f"unknown class {klass!r} (want F, F0, Fm:m, or strong)")
     arithmetic = "rational" if f.is_exact and klass in ("F", "F0") else "float"
     report = _report(
         {"subcommand": "check-class", "fn": args.fn, "class": klass, "n": f.N,
@@ -162,16 +147,9 @@ def _cmd_check_class(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    try:
-        group = AbelianGroup.parse(args.group)
-        s = ConnectionSet.from_text(group, args.s)
-        report = profile(group, s, m_override=args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    group = AbelianGroup.parse(args.group)
+    s = ConnectionSet.from_text(group, args.s)
+    report = profile(group, s, m_override=args.m)
     body = report.to_dict()
     payload = _report(
         {"subcommand": "profile", "group": args.group, "s": args.s,
@@ -203,15 +181,8 @@ def _write_rows_csv(path: str, rows: list[dict]) -> None:
 
 
 def _cmd_verify_catalog(args) -> int:
-    try:
-        entries = cat.load_catalog(args.catalog)
-        rows = cat.verify_catalog(entries)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # a bound violation with a generating S
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    entries = cat.load_catalog(args.catalog)
+    rows = cat.verify_catalog(entries)
     if args.out:
         _write_rows_csv(args.out, rows)
     print(f"{len(entries)} catalog entries, {len(rows)} profile rows, 0 bound violation(s)")
@@ -286,7 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ValueError, ZeroDivisionError, OSError) as exc:  # bad input, unreadable or unwritable path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # a bound violation with a generating S
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -52,9 +52,9 @@ def default_branch_cap() -> int:
     return k
 
 
-@functools.lru_cache(maxsize=8)
-def _branch_table(cap: int) -> np.ndarray:
-    return np.array([float(branch_point(k)) for k in range(cap + 1)])
+@functools.lru_cache(maxsize=1)
+def _branch_table() -> np.ndarray:
+    return np.array([float(branch_point(k)) for k in range(default_branch_cap() + 1)])
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ def _select_branch(d: Fraction, cap: int) -> int:
     return k
 
 
-def majorant(x: Real, branch_cap: int | None = None) -> MajorantValue:
-    """Evaluate min over 1 <= k <= branch_cap of k * d(x)^(1 - 1/k).
+def majorant(x: Real) -> MajorantValue:
+    """Evaluate min over 1 <= k <= default_branch_cap() of k * d(x)^(1 - 1/k).
 
     Branch selection compares d(x) against the exact branch points, so the
     reported branch is the smallest minimizer.  At x in {0, 1} the value is 0
@@ -87,24 +87,20 @@ def majorant(x: Real, branch_cap: int | None = None) -> MajorantValue:
     d = min(xq, 1 - xq)
     if d == 0:
         return MajorantValue(0.0, 2)
-    cap = default_branch_cap() if branch_cap is None else int(branch_cap)
-    if cap < 1:
-        raise ValueError(f"branch cap must be >= 1, got {branch_cap}")
-    k = _select_branch(d, cap)
+    k = _select_branch(d, default_branch_cap())
     return MajorantValue(k * float(d) ** (1.0 - 1.0 / k), k)
 
 
-def majorant_values(x, branch_cap: int | None = None) -> np.ndarray:
+def majorant_values(x) -> np.ndarray:
     """Vectorized majorant values (floats only, no branch reporting)."""
-    cap = default_branch_cap() if branch_cap is None else int(branch_cap)
-    table = _branch_table(cap)
+    table = _branch_table()
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or np.any(x > 1):
         raise ValueError("arguments must lie in [0, 1]")
     d = np.minimum(x, 1.0 - x)
     # smallest k with table[k] <= d, searched in the descending table
     k = np.searchsorted(-table, -d, side="left")
-    k = np.clip(k, 1, cap)
+    k = np.clip(k, 1, default_branch_cap())
     with np.errstate(divide="ignore"):
         vals = k * d ** (1.0 - 1.0 / k)
     return np.where(d > 0, vals, 0.0)

@@ -262,12 +262,9 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     generates the group, a bound violation is mathematically impossible and
     raises RuntimeError; with non-generating S the entries are computed
     anyway and violations are merely reported.  Groups of more than
-    ORDER_CAP elements raise ValueError.
+    ORDER_CAP elements raise ValueError before S is walked over the group.
     """
     order = group.order
-    generating = is_generating(group, s)
-    if not generating:
-        warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
     m = _exponent(group, s, m_override)
 
     t0 = time.perf_counter()
@@ -275,6 +272,10 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     src = np.arange(order)
     minima = _subset_minima(order, [(src, group.shift_table(e)) for e in s], identity=True)
     entries = [_entry(order, m, n, mb, VertexSet(bits, order)) for n, (mb, bits) in enumerate(minima)]
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    generating = is_generating(group, s)
+    if not generating:
+        warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
     # identity-containing proper subsets, against all nonempty proper subsets
     enumerated = 2 ** (order - 1) - 1
     report = ProfileReport(
@@ -286,7 +287,7 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
         entries=entries,
         subsets_enumerated=enumerated,
         subsets_pruned=2**order - 2 - enumerated,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
+        wall_ms=wall_ms,
     )
     if generating and report.bound_violations():
         raise RuntimeError(

@@ -247,3 +247,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         main(["eval-f"])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("argv, catalog", [
+    (["profile", "--group", "Z4", "--s", "(1)", "--out", "{tmp}/missing/p.json"], None),
+    (["estimate-sup", "--p", "1", "--n", "8", "--csv", "{tmp}/missing/s.csv"], None),
+    (["check-class", "--fn", "builtin:tent:1/0,1", "--class", "F", "--n", "8"], None),
+    (["verify-catalog", "--catalog", "{tmp}/cat.json", "--out", "{tmp}/c.csv"], {"entries": []}),
+    (["verify-catalog", "--catalog", "{tmp}/cat.json"], {"entries": [{"group": "Z4", "s": "(1)"}]}),
+], ids=["unwritable-out", "unwritable-csv", "zero-denominator", "empty-catalog", "nameless-entry"])
+def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv, catalog):
+    if catalog is not None:
+        (tmp_path / "cat.json").write_text(json.dumps(catalog))
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -121,11 +121,6 @@ class TestMajorant:
         for x, v in zip(xs, vec):
             assert v == pytest.approx(majorant(float(x)).value, abs=1e-15)
 
-    def test_branch_cap_limits_search(self):
-        mv = majorant(1e-30, branch_cap=3)
-        assert mv.branch == 3
-        assert mv.value == pytest.approx(3 * (1e-30) ** (2.0 / 3.0), rel=1e-12)
-
 
 class TestParabola:
     def test_values(self):

@@ -141,8 +141,17 @@ class TestProfile:
         with pytest.raises(ValueError, match="cap"):
             profile(g, s)
 
+    def test_past_cap_refused_before_generating_check(self, monkeypatch):
+        # is_generating walks the whole group, so the cap must refuse first
+        def walked(group, s):
+            raise AssertionError("is_generating ran before the cap check")
+
+        monkeypatch.setattr(isoperimetry, "is_generating", walked)
+        with pytest.raises(ValueError, match="cap"):
+            profile(*group_and_set(f"Z{ORDER_CAP + 8}", "(1),(7)"))
+
     def test_config_does_not_change_results(self):
-        # a fresh group builds its shift tables cold; the second call reuses them
+        # repeated calls on one group and a call on a fresh equal group agree
         def stripped(report):
             d = report.to_dict()
             d["stats"].pop("wall_ms")
