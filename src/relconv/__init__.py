@@ -19,7 +19,6 @@ from .cayley import (
     element_order,
     is_generating,
     max_order,
-    parse_group_line,
     undirected_cut,
 )
 from .catalog import CatalogEntry, load_catalog, verify_catalog

@@ -37,11 +37,37 @@ def default_catalog_path() -> resources.abc.Traversable:
     return resources.files("relconv").joinpath("data/catalog.json")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# The JSON type of each catalog value: (what the error names, the check).
+_TYPES = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "group": ("a string", lambda v: isinstance(v, str)),
+    "s": ("a string", lambda v: isinstance(v, str)),
+    "digraph": ("an object", lambda v: isinstance(v, dict)),
+    "n": ("an int", _is_int),
+    "arcs": ("a list of [int, int] pairs", lambda v: isinstance(v, list)
+             and all(isinstance(a, list) and len(a) == 2 and all(map(_is_int, a)) for a in v)),
+    "m": ("a positive int", lambda v: _is_int(v) and v > 0),
+}
+
+
+def _get(i: int, obj: dict, key: str):
+    """obj[key] of catalog entry i, of the JSON type _TYPES names (KeyError when absent)."""
+    want, ok = _TYPES[key]
+    if not ok(obj[key]):
+        raise ValueError(f"catalog entry {i}: {key!r} must be {want}, got {obj[key]!r}")
+    return obj[key]
+
+
 def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
     """Load catalog entries from JSON (the built-in catalog by default).
 
-    The file is outside input: a catalog without entries, or an entry that
-    lacks a key its kind needs, raises ValueError naming the entry's index.
+    The file is outside input: a catalog without entries, an entry that
+    lacks a key its kind needs, or a value of the wrong JSON type raises
+    ValueError naming the entry's index.
     """
     raw = json.loads((Path(path) if path else default_catalog_path()).read_text())
     items = raw.get("entries") if isinstance(raw, dict) else None
@@ -52,27 +78,18 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
         try:
             if not isinstance(item, dict):
                 raise ValueError(f"catalog entry {i} is not an object")
+            name = _get(i, item, "name")
+            m = _get(i, item, "m") if "m" in item else None
             if "group" in item:
-                group = AbelianGroup.parse(item["group"])
-                entries.append(
-                    CatalogEntry(
-                        name=item["name"],
-                        group=group,
-                        s=ConnectionSet.from_text(group, item["s"]),
-                        m=item.get("m"),
-                    )
-                )
+                group = AbelianGroup.parse(_get(i, item, "group"))
+                s = ConnectionSet.from_text(group, _get(i, item, "s"))
+                entries.append(CatalogEntry(name, group=group, s=s, m=m))
             elif "digraph" in item:
-                d = item["digraph"]
-                entries.append(
-                    CatalogEntry(
-                        name=item["name"],
-                        digraph=GenericDigraph(d["n"], tuple((u, v) for u, v in d["arcs"])),
-                        m=item.get("m"),
-                    )
-                )
+                d = _get(i, item, "digraph")
+                digraph = GenericDigraph(_get(i, d, "n"), tuple(_get(i, d, "arcs")))
+                entries.append(CatalogEntry(name, digraph=digraph, m=m))
             else:
-                raise ValueError(f"catalog entry {i} ({item.get('name')!r}) has neither group nor digraph")
+                raise ValueError(f"catalog entry {i} ({name!r}) has neither group nor digraph")
         except KeyError as exc:
             raise ValueError(f"catalog entry {i} lacks key {exc}") from None
     return entries

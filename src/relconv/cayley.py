@@ -51,9 +51,6 @@ class AbelianGroup:
     def neg(self, a: int) -> int:
         return self._index[tuple((-x) % n for x, n in zip(self._coords[a], self.factors))]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def shift_table(self, s: int) -> np.ndarray:
         """Permutation table t with t[x] = x + s, added per mixed-radix digit."""
         # the first factor is the least significant digit: numpy's order="F"
@@ -139,15 +136,6 @@ class ConnectionSet:
         return f"ConnectionSet[{self.describe()}]"
 
 
-def parse_group_line(text: str) -> tuple[AbelianGroup, ConnectionSet]:
-    """Parse the one-line fixture format 'group=Z4xZ2; S=(1,0),(0,1)'."""
-    m = re.fullmatch(r"\s*group\s*=\s*([^;]+);\s*S\s*=\s*(.+?)\s*", text)
-    if not m:
-        raise ValueError(f"cannot parse fixture line {text!r}")
-    group = AbelianGroup.parse(m.group(1))
-    return group, ConnectionSet.from_text(group, m.group(2))
-
-
 @dataclass(frozen=True)
 class VertexSet:
     """Subset of vertices 0..size-1 encoded as an integer bitset."""
@@ -176,9 +164,6 @@ class VertexSet:
 
     def contains(self, i: int) -> bool:
         return bool(self.bits >> i & 1)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(((1 << self.size) - 1) ^ self.bits, self.size)
 
     def translate(self, group: AbelianGroup, g: int) -> "VertexSet":
         tab = group.shift_table(g)

@@ -13,7 +13,8 @@ built only for the violating triples.  The integers run in int64 while the
 worst-case magnitude stays below 2**53, where int64 cannot overflow and
 float64 division gives a correctly rounded max_slack; past that bound the
 same expressions run on Python ints in object arrays.  Otherwise the scan is
-floating point with a slack tolerance (violations require slack < -tol).
+floating point with the slack tolerance SLACK_TOL (violations require
+slack < -SLACK_TOL); only check_almost_convex lets its caller set another.
 
 check_endpoint_reduction reads both of its verdicts off one pass of the
 same rows, with the same exact/float dispatch, and stops at the first row
@@ -31,6 +32,10 @@ import numpy as np
 
 from .extremal import majorant_values, parabola
 from .grid import GridFunction, _triple_rows
+
+# Every class check tests the same inequality, so the float scans share one
+# slack tolerance.
+SLACK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class ViolationList(list):
     max_slack: float = -math.inf
 
 
-def check_almost_convex(f: GridFunction, c: float | Fraction = 1, p: float = 1, tol: float = 1e-9) -> ViolationList:
+def check_almost_convex(f: GridFunction, c: float | Fraction = 1, p: float = 1, tol: float = SLACK_TOL) -> ViolationList:
     """Scan all grid triples of f against the (c, p) relaxed-convexity bound.
 
     Returns every triple with f[b] > lam*f[a] + (1-lam)*f[c] + c*((c-a)/N)**p
@@ -151,15 +156,15 @@ def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Vio
         yield row, worst
 
 
-def check_almost_convex_anchored(f: GridFunction, tol: float = 1e-9) -> ViolationList:
+def check_almost_convex_anchored(f: GridFunction) -> ViolationList:
     """Relaxed convexity plus the endpoint condition max(f[0], f[N]) <= 0.
 
     Endpoint failures appear as synthetic degenerate triples (0,0,0) and
     (N,N,N) with rhs = 0.
     """
-    out = check_almost_convex(f, 1, 1, tol)
+    out = check_almost_convex(f, 1, 1)
     zero = Fraction(0) if f.is_exact else 0.0
-    eps = 0 if f.is_exact else tol
+    eps = 0 if f.is_exact else SLACK_TOL
     for i in (0, f.N):
         v = f[i]
         if v > eps:
@@ -169,13 +174,7 @@ def check_almost_convex_anchored(f: GridFunction, tol: float = 1e-9) -> Violatio
     return out
 
 
-def check_mean_inequality(
-    f: GridFunction,
-    m: int,
-    samples: int = 100_000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> ViolationList:
+def check_mean_inequality(f: GridFunction, m: int, samples: int = 100_000, seed: int = 0) -> ViolationList:
     """Check the m-point mean inequality with spread term (max - min).
 
     For m = 2 the scan is exhaustive over same-parity index pairs (the only
@@ -196,7 +195,7 @@ def check_mean_inequality(
             lhs = vals[i + d]
             gap = lhs - (0.5 * (vals[i] + vals[i + 2 * d]) + (2 * d) / N)
             worst = max(worst, float(gap.max()))
-            for j in np.flatnonzero(gap > tol):
+            for j in np.flatnonzero(gap > SLACK_TOL):
                 jj = int(i[j])
                 out.append(TupleViolation((jj, jj + 2 * d), float(lhs[j]), float(lhs[j] - gap[j])))
         out.sort(key=lambda v: v.xs)
@@ -219,14 +218,14 @@ def check_mean_inequality(
     lhs = vals[mid]
     rhs = vals[xs].mean(axis=1) + (xs[:, -1] - xs[:, 0]) / N
     worst = float((lhs - rhs).max()) if len(lhs) else worst
-    for j in np.flatnonzero(lhs - rhs > tol):
+    for j in np.flatnonzero(lhs - rhs > SLACK_TOL):
         out.append(TupleViolation(tuple(int(t) for t in xs[j]), float(lhs[j]), float(rhs[j])))
     out.sort(key=lambda v: v.xs)
     out.max_slack = worst
     return out
 
 
-def check_sharpened(f: GridFunction, tol: float = 1e-9) -> ViolationList:
+def check_sharpened(f: GridFunction) -> ViolationList:
     """Scan the strengthened inequality whose defect is E(lam)*|x2 - x1|.
 
     The plain relaxed-convexity bound self-improves: the constant defect
@@ -236,7 +235,7 @@ def check_sharpened(f: GridFunction, tol: float = 1e-9) -> ViolationList:
     witnesses when f is the majorant itself.
     """
     N = f.N
-    return _collect(_float_rows(f.floats(), tol, lambda den, lam: majorant_values(lam) * (den / N)))
+    return _collect(_float_rows(f.floats(), SLACK_TOL, lambda den, lam: majorant_values(lam) * (den / N)))
 
 
 def make_tent(x0, h0, N: int) -> GridFunction:
@@ -264,17 +263,17 @@ def make_tent(x0, h0, N: int) -> GridFunction:
     return GridFunction(N, arr, label=f"tent[{x0},{h0}]")
 
 
-def _require_concave(f: GridFunction, tol: float = 1e-12) -> None:
+def _require_concave(f: GridFunction) -> None:
     if f.is_exact:
         bad = any(f[i - 1] - 2 * f[i] + f[i + 1] > 0 for i in range(1, f.N))
     else:
         v = f.floats()
-        bad = bool(np.any(v[:-2] - 2 * v[1:-1] + v[2:] > tol))
+        bad = bool(np.any(v[:-2] - 2 * v[1:-1] + v[2:] > 1e-12))
     if bad:
         raise ValueError(f"{f!r} is not concave on the grid")
 
 
-def check_under_parabola(f: GridFunction, tol: float = 1e-9) -> bool:
+def check_under_parabola(f: GridFunction) -> bool:
     """True iff the concave, endpoint-zero f stays under 4x(1-x) on the grid.
 
     Raises if f is not concave or its endpoints are nonzero.  When this
@@ -290,22 +289,22 @@ def check_under_parabola(f: GridFunction, tol: float = 1e-9) -> bool:
     if abs(v[0]) > 1e-12 or abs(v[-1]) > 1e-12:
         raise ValueError("endpoints must be zero")
     x = np.arange(f.N + 1) / f.N
-    return bool(np.all(v <= 4.0 * x * (1.0 - x) + tol))
+    return bool(np.all(v <= 4.0 * x * (1.0 - x) + SLACK_TOL))
 
 
-def check_endpoint_reduction(f: GridFunction, tol: float = 1e-9) -> tuple[bool, bool]:
+def check_endpoint_reduction(f: GridFunction) -> tuple[bool, bool]:
     """(endpoint_ok, full_ok) for a concave grid function.
 
     endpoint_ok checks the relaxed-convexity inequality only on triples
     touching the boundary (a = 0 or c = N); full_ok checks all triples.  For
     concave functions the endpoint triples are decisive, which the property
     harness asserts as endpoint_ok => full_ok.  Both verdicts come from one
-    row scan, exact for exact inputs and with the slack tolerance tol for
-    float inputs; it stops at the first endpoint violation, which fails both.
+    row scan, exact for exact inputs and with SLACK_TOL for float inputs;
+    it stops at the first endpoint violation, which fails both.
     """
     _require_concave(f)
     full_ok = True
-    for row, _ in _scan_rows(f, 1, 1, tol):
+    for row, _ in _scan_rows(f, 1, 1, SLACK_TOL):
         if any(v.a == 0 or v.c == f.N for v in row):
             return False, False
         full_ok = full_ok and not row

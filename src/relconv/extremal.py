@@ -65,8 +65,9 @@ class MajorantValue:
     branch: int
 
 
-def _select_branch(d: Fraction, cap: int) -> int:
+def _select_branch(d: Fraction) -> int:
     # smallest k >= 1 with branch_point(k) <= d; ties keep the lower branch
+    cap = default_branch_cap()
     k = 1
     while k < cap and branch_point(k) > d:
         k += 1
@@ -87,7 +88,7 @@ def majorant(x: Real) -> MajorantValue:
     d = min(xq, 1 - xq)
     if d == 0:
         return MajorantValue(0.0, 2)
-    k = _select_branch(d, default_branch_cap())
+    k = _select_branch(d)
     return MajorantValue(k * float(d) ** (1.0 - 1.0 / k), k)
 
 
@@ -132,17 +133,17 @@ def rescale_majorant(u: Real, v: Real, c: Real, x: Real) -> float:
     return float(c) * (float(v) - float(u)) * majorant(t).value
 
 
-def majorant_grid(N: int, label: str = "majorant") -> GridFunction:
+def majorant_grid(N: int) -> GridFunction:
     """Restriction of the majorant to the uniform grid."""
-    return GridFunction(N, majorant_values(np.arange(N + 1) / N), label=label)
+    return GridFunction(N, majorant_values(np.arange(N + 1) / N), label="majorant")
 
 
-def parabola_grid(N: int, exact: bool = False, label: str = "parabola") -> GridFunction:
+def parabola_grid(N: int, exact: bool = False) -> GridFunction:
     """Restriction of 4x(1-x) to the uniform grid."""
     if exact:
-        return GridFunction(N, [parabola(Fraction(i, N)) for i in range(N + 1)], label=label)
+        return GridFunction(N, [parabola(Fraction(i, N)) for i in range(N + 1)], label="parabola")
     x = np.arange(N + 1) / N
-    return GridFunction(N, 4.0 * x * (1.0 - x), label=label)
+    return GridFunction(N, 4.0 * x * (1.0 - x), label="parabola")
 
 
 class ConvergenceError(RuntimeError):

@@ -18,7 +18,7 @@ import numpy as np
 
 
 class GridFunction:
-    """Values of a real function sampled at x = i/N for 0 <= i <= N."""
+    """Values of a real function sampled at x = i/N for 0 <= i <= N; floats must be finite."""
 
     __slots__ = ("N", "values", "label")
 
@@ -34,6 +34,8 @@ class GridFunction:
             self.values = [Fraction(v) for v in values]
         else:
             self.values = np.asarray(values, dtype=float)
+        if not self.is_exact and not np.isfinite(self.values).all():
+            raise ValueError(f"grid value at index {int(np.argmin(np.isfinite(self.values)))} is not finite")
         self.label = label
 
     @property
@@ -43,10 +45,6 @@ class GridFunction:
 
     def floats(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-    def x(self, i: int) -> Fraction:
-        """Exact abscissa of grid index i."""
-        return Fraction(i, self.N)
 
     def __getitem__(self, i: int):
         return self.values[i]
@@ -129,11 +127,11 @@ def write_csv(f: GridFunction, path: str | Path) -> None:
                 w.writerow([i, f"{i}/{f.N}", repr(float(v))])
 
 
-def read_csv(path: str | Path, label: str = "") -> GridFunction:
+def read_csv(path: str | Path) -> GridFunction:
     """Read a grid function written by :func:`write_csv`.
 
     Values containing a ``/`` are parsed as exact fractions, everything else
-    as floats.  Rows must cover i = 0..N in order.
+    as floats.  Rows must cover i = 0..N in order, each with three fields.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -143,6 +141,8 @@ def read_csv(path: str | Path, label: str = "") -> GridFunction:
             raise ValueError(f"unexpected CSV header {header!r}, want i,x,value")
         for row in r:
             if row:
+                if len(row) < 3:
+                    raise ValueError(f"CSV row {row!r} has fewer than 3 fields, want i,x,value")
                 rows.append((int(row[0]), row[2].strip()))
     if not rows or [i for i, _ in rows] != list(range(len(rows))):
         raise ValueError("CSV rows must enumerate grid indices 0..N in order")
@@ -151,4 +151,4 @@ def read_csv(path: str | Path, label: str = "") -> GridFunction:
         values: Sequence = [Fraction(v) for _, v in rows]
     else:
         values = np.array([float(Fraction(v)) if "/" in v else float(v) for _, v in rows])
-    return GridFunction(len(rows) - 1, values, label=label or str(path))
+    return GridFunction(len(rows) - 1, values, label=str(path))

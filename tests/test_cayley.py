@@ -13,7 +13,6 @@ from relconv.cayley import (
     element_order,
     is_generating,
     max_order,
-    parse_group_line,
     undirected_cut,
 )
 
@@ -75,13 +74,6 @@ class TestConnectionSet:
     def test_deduplication(self):
         g = AbelianGroup([5])
         assert ConnectionSet(g, [2, 2, 1]).elements == (1, 2)
-
-    def test_parse_group_line(self):
-        g, s = parse_group_line("group=Z4xZ2; S=(1,0),(0,1)")
-        assert g.factors == (4, 2)
-        assert len(s) == 2
-        with pytest.raises(ValueError):
-            parse_group_line("Z4xZ2 with S=(1,0)")
 
 
 class TestElementOrder:
@@ -217,10 +209,6 @@ class TestVertexSet:
         assert a.popcount() == 3
         assert a.contains(3) and not a.contains(1)
         assert a.hex() == "0x29"
-
-    def test_complement(self):
-        a = VertexSet.from_indices([0], 3)
-        assert a.complement().indices() == [1, 2]
 
     def test_bounds(self):
         with pytest.raises(ValueError):

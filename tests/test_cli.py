@@ -145,6 +145,20 @@ class TestCheckClass:
             main(["check-class", "--fn", "builtin:F", "--class", "F", "--n", "8", "--format", "csv"])
         assert ei.value.code == 2
 
+    @pytest.mark.parametrize("klass", ["F", "F0", "strong", "Fm:2", "Fm:3"])
+    def test_non_finite_csv_value_exits_two(self, capsys, tmp_path, klass):
+        path = tmp_path / "nan.csv"
+        path.write_text("i,x,value\n0,0/4,0.0\n1,1/4,nan\n2,2/4,0.5\n3,3/4,0.25\n4,4/4,0.0\n")
+        code = main(["check-class", "--fn", str(path), "--class", klass, "--samples", "200"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid value at index 1 is not finite\n"
+
+    def test_short_csv_row_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("i,x,value\n0\n")
+        assert main(["check-class", "--fn", str(path), "--class", "F"]) == 2
+        assert "fewer than 3 fields" in capsys.readouterr().err
+
 
 class TestProfile:
     def test_json_report(self, capsys, tmp_path):
@@ -207,6 +221,25 @@ class TestVerifyCatalog:
         with pytest.raises(SystemExit) as ei:
             main(["verify-catalog", "--format", "json"])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "x", "group": 4, "s": "(1)"}, "'group' must be a string, got 4"),
+        ({"name": "x", "group": "Z4", "s": 1}, "'s' must be a string, got 1"),
+        ({"name": 7, "group": "Z4", "s": "(1)"}, "'name' must be a string, got 7"),
+        ({"name": "x", "digraph": {"n": "6", "arcs": [[0, 1]]}}, "'n' must be an int, got '6'"),
+        ({"name": "x", "digraph": {"n": 6, "arcs": 5}}, "'arcs' must be a list of [int, int] pairs, got 5"),
+        ({"name": "x", "digraph": {"n": 6, "arcs": [[0, "1"]]}}, "'arcs' must be a list of [int, int] pairs"),
+        ({"name": "x", "m": "2", "digraph": {"n": 6, "arcs": [[0, 1]]}}, "'m' must be a positive int, got '2'"),
+        ({"name": "x", "m": 0, "digraph": {"n": 6, "arcs": [[0, 1]]}}, "'m' must be a positive int, got 0"),
+        ({"name": "x", "m": True, "group": "Z4", "s": "(1)"}, "'m' must be a positive int, got True"),
+    ], ids=["group-int", "s-int", "name-int", "n-string", "arcs-int", "arc-string", "m-string", "m-zero", "m-bool"])
+    def test_value_of_wrong_type_exits_two(self, capsys, tmp_path, entry, message):
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps({"entries": [{"name": "Z4", "group": "Z4", "s": "(1)"}, entry]}))
+        assert main(["verify-catalog", "--catalog", str(cat), "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: catalog entry 1: {message}"), err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_bound_violation_exits_one(self, capsys, tmp_path, monkeypatch):
         cat = tmp_path / "cat.json"

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relconv.convexity import (
+    SLACK_TOL,
     check_almost_convex,
     check_almost_convex_anchored,
     check_endpoint_reduction,
@@ -90,9 +91,9 @@ class TestAlmostConvex:
         for f in (scaled(majorant_grid(N), 1.3), scaled(parabola_grid(N), 1.1), sample_concave(N, N)):
             for c, p in ((1, 1), (0.5, 1.5), (2, 2)):
                 spread = c * (np.arange(N + 1) / N) ** p
-                want = scalar_float_scan(f, 1e-9, lambda den, lam: spread[den])
+                want = scalar_float_scan(f, SLACK_TOL, lambda den, lam: spread[den])
                 assert float_rows(check_almost_convex(f, c, p)) == want
-            want = scalar_float_scan(f, 1e-9, lambda den, lam: majorant_values(np.array([lam]))[0] * (den / N))
+            want = scalar_float_scan(f, SLACK_TOL, lambda den, lam: majorant_values(np.array([lam]))[0] * (den / N))
             assert float_rows(check_sharpened(f)) == want
 
     @settings(max_examples=100, deadline=None)
@@ -291,7 +292,7 @@ class TestEndpointReduction:
             parabola_grid(16, exact=True),
         ]
         verdicts = [check_endpoint_reduction(f)[1] for f in inputs]
-        assert verdicts == [not check_almost_convex(f, 1, 1, 1e-9) for f in inputs]
+        assert verdicts == [not check_almost_convex(f) for f in inputs]
         assert verdicts[-3:] == [False, True, True]
         assert True in verdicts and False in verdicts[:-3]
 

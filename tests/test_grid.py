@@ -16,7 +16,6 @@ def test_resolution_and_length_validation():
 def test_exact_detection():
     f = GridFunction(2, [Fraction(0), Fraction(1, 2), Fraction(0)])
     assert f.is_exact
-    assert f.x(1) == Fraction(1, 2)
     g = GridFunction(2, [0.0, 0.5, 0.0])
     assert not g.is_exact
     assert np.allclose(g.floats(), [0.0, 0.5, 0.0])
@@ -45,6 +44,21 @@ def test_csv_header_validated(tmp_path):
     path.write_text("a,b,c\n0,0/2,0.0\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+def test_csv_short_row_rejected(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("i,x,value\n0,0/2,0.0\n1\n2,2/2,0.0\n")
+    with pytest.raises(ValueError, match="fewer than 3 fields"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError, match="index 1 is not finite"):
+        GridFunction(2, [0.0, bad, 0.0])
+    with pytest.raises(ValueError, match="index 1 is not finite"):
+        GridFunction(2, np.array([0.0, bad, 0.0]))
 
 
 @pytest.mark.parametrize("N", [2, 3, 24, 257, 400])
