@@ -22,6 +22,7 @@ from pathlib import Path
 from . import catalog as cat
 from .cayley import AbelianGroup, ConnectionSet
 from .convexity import (
+    TupleViolation,
     check_almost_convex,
     check_almost_convex_anchored,
     check_mean_inequality,
@@ -42,8 +43,39 @@ from .isoperimetry import profile, six_cycle_counterexample
 SCHEMA_VERSION = 1
 
 
+# One Violation as json.dumps(indent=2) spells it inside a top-level list:
+# json writes ints and finite floats as int.__repr__ and float.__repr__ do.
+_VIOLATION_ROW = ('    {\n      "a": %d,\n      "b": %d,\n      "c": %d,\n'
+                  '      "lhs": %r,\n      "rhs": %r,\n      "slack": %r\n    }')
+
+
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write json.dumps(payload, indent=2) + "\\n".
+
+    A top-level "violations" list of Violation or TupleViolation records is
+    spelled with a fixed %-template per record instead: with indent set,
+    json.dumps runs its pure-Python encoder, item by item.
+    """
+    records = payload.get("violations")
+    text = json.dumps({**payload, "violations": []} if records else payload, indent=2)
+    if records:
+        # strings hold no raw newline, so this is the top-level key
+        text = text.replace('\n  "violations": []', '\n  "violations": [\n' + _records_json(records) + '\n  ]', 1)
+    Path(path).write_text(text + "\n")
+
+
+def _records_json(records: list) -> str:
+    if isinstance(records[0], TupleViolation):  # one m per list
+        xs = ",\n".join(["        %d"] * len(records[0].xs))
+        row = '    {\n      "xs": [\n' + xs + '\n      ],\n      "lhs": %r,\n      "rhs": %r\n    }'
+        values = [x for v in records for x in (*v.xs, float(v.lhs), float(v.rhs))]
+    else:
+        row = _VIOLATION_ROW
+        values = [x for v in records for x in (v.a, v.b, v.c, float(v.lhs), float(v.rhs), float(v.slack))]
+    text = ",\n".join([row] * len(records)) % tuple(values)
+    if "inf" in text or "nan" in text:  # no key or finite repr holds either
+        text = text.replace("inf", "Infinity").replace("nan", "NaN")
+    return text
 
 
 def _report(config: dict, body: dict) -> dict:
@@ -136,7 +168,7 @@ def _cmd_check_class(args) -> int:
             "class": klass,
             "N": f.N,
             "arithmetic": arithmetic,
-            "violations": [v.to_dict() for v in violations],
+            "violations": violations,
             "max_slack": violations.max_slack if violations.max_slack != -float("inf") else None,
         },
     )

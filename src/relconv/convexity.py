@@ -38,7 +38,7 @@ from .grid import GridFunction, _triple_rows
 SLACK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """A grid triple a <= b <= c where the checked inequality fails.
 
@@ -52,27 +52,14 @@ class Violation:
     rhs: float | Fraction
     slack: float | Fraction
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "slack": float(self.slack),
-        }
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleViolation:
     """An m-tuple of grid indices where the mean inequality fails."""
 
     xs: tuple[int, ...]
     lhs: float
     rhs: float
-
-    def to_dict(self) -> dict:
-        return {"xs": list(self.xs), "lhs": float(self.lhs), "rhs": float(self.rhs)}
 
 
 class ViolationList(list):
@@ -146,13 +133,15 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
 def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Violation], float]]:
     """Float scan rows with rhs = chord + defect(den, lam), den = c - a."""
     for b, rhs in _triple_rows(len(vals) - 1, defect)(vals):
-        gap = vals[b] - rhs
-        worst = float(gap.max())
+        lhs = float(vals[b])
+        # rounding is monotone, so this is the row's largest rounded lhs - rhs
+        worst = lhs - float(rhs.min())
         row = []
         if worst > tol:
-            for ai, ci in np.argwhere(gap > tol):
-                r = float(rhs[ai, ci])
-                row.append(Violation(int(ai), b, b + 1 + int(ci), vals[b], r, r - vals[b]))
+            with np.errstate(over="ignore"):  # huge finite values give infinite gaps
+                ai, ci = np.nonzero(lhs - rhs > tol)
+            row = [Violation(a, b, b + 1 + c, lhs, r, r - lhs)
+                   for a, c, r in zip(ai.tolist(), ci.tolist(), rhs[ai, ci].tolist())]
         yield row, worst
 
 
@@ -165,12 +154,12 @@ def check_almost_convex_anchored(f: GridFunction) -> ViolationList:
     out = check_almost_convex(f, 1, 1)
     zero = Fraction(0) if f.is_exact else 0.0
     eps = 0 if f.is_exact else SLACK_TOL
+    # every scanned triple has a < b < c, so (0,0,0) sorts first and (N,N,N) last
     for i in (0, f.N):
         v = f[i]
         if v > eps:
-            out.append(Violation(i, i, i, v, zero, zero - v))
+            out.insert(len(out) if i else 0, Violation(i, i, i, v, zero, zero - v))
         out.max_slack = max(out.max_slack, float(v))
-    out.sort(key=lambda v: (v.a, v.b, v.c))
     return out
 
 
@@ -178,7 +167,7 @@ def check_mean_inequality(f: GridFunction, m: int, samples: int = 100_000, seed:
     """Check the m-point mean inequality with spread term (max - min).
 
     For m = 2 the scan is exhaustive over same-parity index pairs (the only
-    pairs whose midpoint is on-grid).  For m >= 3 it draws `samples` seeded
+    pairs whose midpoint is on-grid).  For m >= 3 it draws `samples` (>= 1) seeded
     m-tuples of grid indices whose sum is divisible by m (rejection
     sampling), so the mean is always a grid point.  Entries are
     TupleViolation records.
@@ -188,8 +177,8 @@ def check_mean_inequality(f: GridFunction, m: int, samples: int = 100_000, seed:
     N = f.N
     vals = f.floats()
     out = ViolationList()
-    worst = -np.inf
     if m == 2:
+        worst = -np.inf
         for d in range(1, N // 2 + 1):
             i = np.arange(0, N - 2 * d + 1)
             lhs = vals[i + d]
@@ -202,6 +191,8 @@ def check_mean_inequality(f: GridFunction, m: int, samples: int = 100_000, seed:
         out.max_slack = worst
         return out
 
+    if samples < 1:
+        raise ValueError(f"need samples >= 1 for m >= 3, got {samples}")
     rng = np.random.default_rng(seed)
     collected: list[np.ndarray] = []
     have = 0
@@ -217,7 +208,7 @@ def check_mean_inequality(f: GridFunction, m: int, samples: int = 100_000, seed:
     mid = xs.sum(axis=1) // m
     lhs = vals[mid]
     rhs = vals[xs].mean(axis=1) + (xs[:, -1] - xs[:, 0]) / N
-    worst = float((lhs - rhs).max()) if len(lhs) else worst
+    worst = float((lhs - rhs).max())
     for j in np.flatnonzero(lhs - rhs > SLACK_TOL):
         out.append(TupleViolation(tuple(int(t) for t in xs[j]), float(lhs[j]), float(rhs[j])))
     out.sort(key=lambda v: v.xs)

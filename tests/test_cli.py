@@ -3,13 +3,25 @@ import json
 import subprocess
 import sys
 import zipfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import relconv
-from relconv import isoperimetry
+from relconv import cli, isoperimetry
 from relconv.cli import main
+from relconv.convexity import (
+    TupleViolation,
+    Violation,
+    ViolationList,
+    check_almost_convex,
+    check_almost_convex_anchored,
+    check_mean_inequality,
+    make_tent,
+)
+from relconv.extremal import majorant_grid
+from relconv.grid import GridFunction, read_csv, write_csv
 
 
 def run(capsys, *argv):
@@ -158,6 +170,102 @@ class TestCheckClass:
         path.write_text("i,x,value\n0\n")
         assert main(["check-class", "--fn", str(path), "--class", "F"]) == 2
         assert "fewer than 3 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampled_class_needs_samples(self, capsys, samples):
+        code = main(["check-class", "--fn", "builtin:F", "--class", "Fm:3", "--n", "8", "--samples", str(samples)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: need samples >= 1 for m >= 3, got {samples}\n"
+
+
+HUGE_CSV = "i,x,value\n0,0/2,-1.7e308\n1,1/2,1.7e308\n2,2/2,-1.7e308\n"
+
+
+def record_dict(v) -> dict:
+    """The dict whose json.dumps spelling a record's report entry must equal."""
+    if isinstance(v, TupleViolation):
+        return {"xs": list(v.xs), "lhs": float(v.lhs), "rhs": float(v.rhs)}
+    return {"a": v.a, "b": v.b, "c": v.c, "lhs": float(v.lhs), "rhs": float(v.rhs), "slack": float(v.slack)}
+
+
+def _float_tent(tmp_path):
+    path = tmp_path / "tent.csv"
+    write_csv(make_tent(Fraction(1, 2), 1.125, 48), path)
+    return str(path), "F0", [], check_almost_convex_anchored(read_csv(path))
+
+
+def _exact_tent(tmp_path):
+    return ("builtin:tent:1/4,4/5", "F0", ["--n", "16"],
+            check_almost_convex_anchored(make_tent(Fraction(1, 4), Fraction(4, 5), 16)))
+
+
+def _sampled_tuples(tmp_path):
+    f = majorant_grid(48).floats().copy()
+    f[24] += 0.4
+    path = tmp_path / "bump.csv"
+    write_csv(GridFunction(48, f), path)
+    return str(path), "Fm:3", ["--samples", "2000", "--seed", "42"], check_mean_inequality(read_csv(path), 3, 2000, 42)
+
+
+def _member(tmp_path):
+    return "builtin:F", "F0", ["--n", "32"], check_almost_convex_anchored(majorant_grid(32))
+
+
+def _huge_values(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(HUGE_CSV)
+    return str(path), "F", [], check_almost_convex(read_csv(path))
+
+
+def _awkward_path(tmp_path):
+    path = tmp_path / 'tent, "é".csv'
+    f = make_tent(Fraction(1, 4), Fraction(4, 5), 16)
+    write_csv(f, path)
+    return str(path), "F0", [], check_almost_convex_anchored(f)
+
+
+class TestReportBytes:
+    """check-class --out writes exactly json.dumps(payload, indent=2) + "\\n"."""
+
+    @pytest.mark.parametrize("case", [_float_tent, _exact_tent, _sampled_tuples, _member, _huge_values, _awkward_path],
+                             ids=["float-tent", "exact-tent", "tuples", "member", "huge-values", "awkward-path"])
+    def test_report_equals_json_dumps(self, capsys, tmp_path, case):
+        fn, klass, extra, violations = case(tmp_path)
+        out = tmp_path / "r.json"
+        code = main(["check-class", "--fn", fn, "--class", klass, *extra, "--out", str(out)])
+        assert code == (1 if violations else 0)
+        text = out.read_text()
+        payload = json.loads(text)
+        assert payload["input"] == payload["config"]["fn"] == fn
+        assert len(payload["violations"]) == len(violations)
+        payload["violations"] = [record_dict(v) for v in violations]
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+    def test_huge_values_scan_quietly(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE_CSV)
+        out = tmp_path / "r.json"
+        src = str(Path(relconv.__file__).parent.parent)
+        program = (f"import sys; sys.path.insert(0, {src!r}); from relconv.cli import main; "
+                   f"sys.exit(main(['check-class', '--fn', {str(path)!r}, '--class', 'F', '--out', {str(out)!r}]))")
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        text = out.read_text()
+        assert '"slack": -Infinity' in text and '"max_slack": Infinity' in text
+
+    def test_writer_spells_every_record_shape(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        shapes = [
+            [Violation(0, 1, 2, 0.5, Fraction(1, 3), -inf), Violation(1, 2, 3, nan, -0.0, 1e-300)],
+            [TupleViolation((0, 3), 1.5, inf), TupleViolation((1, 2), nan, -1e22)],
+        ]
+        for records in shapes:
+            violations = ViolationList(records)
+            path = tmp_path / "r.json"
+            cli._write_json(str(path), {"schema_version": 1, "violations": violations, "max_slack": nan})
+            oracle = {"schema_version": 1, "violations": [record_dict(v) for v in violations], "max_slack": nan}
+            assert path.read_text() == json.dumps(oracle, indent=2) + "\n"
 
 
 class TestProfile:

@@ -173,6 +173,19 @@ class TestAnchored:
     def test_tall_tent_fails(self):
         assert check_almost_convex_anchored(make_tent(Fraction(1, 4), Fraction(4, 5), 64))
 
+    def test_endpoint_records_bracket_the_sorted_scan(self):
+        # raised by 1/10, the tall tent fails at both endpoints as well as at
+        # the interior triples of rows b = 3, 4 and 5, which interleave by a
+        tent = make_tent(Fraction(1, 2), Fraction(3, 2), 8)
+        exact = GridFunction(8, [v + Fraction(1, 10) for v in tent.values])
+        expected = [(0, 0, 0), (0, 3, 7), (0, 3, 8), (0, 4, 6), (0, 4, 7), (0, 4, 8), (0, 5, 8),
+                    (1, 4, 5), (1, 4, 6), (1, 4, 7), (1, 4, 8), (1, 5, 8), (2, 4, 5), (2, 4, 6),
+                    (2, 4, 7), (2, 4, 8), (3, 4, 5), (3, 4, 6), (3, 4, 7), (8, 8, 8)]
+        for f in (exact, GridFunction(8, exact.floats())):
+            violations = check_almost_convex_anchored(f)
+            assert [(v.a, v.b, v.c) for v in violations] == expected
+            assert violations[0].lhs == violations[-1].lhs == f[0]
+
 
 class TestMeanInequality:
     def test_majorant_passes_exhaustive_pairs(self):
@@ -199,6 +212,11 @@ class TestMeanInequality:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             check_mean_inequality(majorant_grid(16), 1)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampled_tuples_need_samples(self, samples):
+        with pytest.raises(ValueError, match=f"samples >= 1 for m >= 3, got {samples}"):
+            check_mean_inequality(majorant_grid(8), 3, samples=samples)
 
 
 class TestSharpened:
