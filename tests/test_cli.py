@@ -81,6 +81,13 @@ class TestEstimateSup:
     def test_bad_p_is_usage_error(self, capsys):
         assert run(capsys, "estimate-sup", "--p", "0", "--n", "8")[0] == 2
 
+    @pytest.mark.parametrize("p", ["1100", "inf"])
+    def test_start_bound_past_float_range_is_usage_error(self, capsys, p):
+        code = main(["estimate-sup", "--p", p, "--n", "8"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines == [f"error: defect exponent p must be < 1024 for a finite start bound 2**p, got {float(p)}"]
+
     def test_json_report_when_not_converged(self, capsys, tmp_path):
         out = tmp_path / "sup.json"
         code, _ = run(capsys, "estimate-sup", "--p", "1", "--n", "32", "--max-iters", "1", "--out", str(out))
@@ -253,6 +260,19 @@ class TestReportBytes:
         assert proc.stderr == ""
         text = out.read_text()
         assert '"slack": -Infinity' in text and '"max_slack": Infinity' in text
+
+    @pytest.mark.parametrize("klass", ["Fm:2", "Fm:3"])
+    def test_huge_values_mean_classes_quietly(self, tmp_path, klass):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE_CSV)
+        out = tmp_path / "r.json"
+        argv = ["check-class", "--fn", str(path), "--class", klass, "--samples", "50", "--out", str(out)]
+        src = str(Path(relconv.__file__).parent.parent)
+        program = f"import sys; sys.path.insert(0, {src!r}); from relconv.cli import main; sys.exit(main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert "Infinity" in out.read_text()
 
     def test_writer_spells_every_record_shape(self, tmp_path):
         nan, inf = float("nan"), float("inf")

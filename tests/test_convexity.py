@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,14 @@ class TestMeanInequality:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             check_mean_inequality(majorant_grid(16), 1)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_huge_values_overflow_quietly(self, m):
+        f = GridFunction(2, [-1.7e308, 1.7e308, -1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            violations = check_mean_inequality(f, m, samples=50)
+        assert violations and violations.max_slack == math.inf
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sampled_tuples_need_samples(self, samples):

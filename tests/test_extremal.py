@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from relconv import extremal
 from relconv.extremal import (
     ConvergenceError,
     branch_point,
@@ -17,6 +18,7 @@ from relconv.extremal import (
     rescale_majorant,
 )
 from relconv.convexity import check_almost_convex
+from relconv.grid import _triple_rows
 
 
 def brute_majorant(x: float, kmax: int = 200) -> float:
@@ -184,6 +186,121 @@ def scalar_sup_sweeps(p: float, N: int, tol: float, max_iters: int) -> tuple[np.
     return np.array(g), len(decreases), decreases
 
 
+def full_row_sweeps(p: float, N: int, tol: float) -> tuple[list[np.ndarray], list[float]]:
+    """Oracle for the dirty-range sweeps: every sweep reads every (a, c) entry.
+
+    Each row's matrix is built afresh from index arrays, with the kernel's
+    expression order, rhs = lam*g[a] + (1 - lam)*g[c] + spread[c - a], so
+    every float matches.  Returns the iterate after each sweep and the
+    per-sweep largest decreases.
+    """
+    g = np.full(N + 1, 1.0 if p == 1 else max(1.0, 2.0**p))
+    g[0] = g[N] = 0.0
+    spread = (np.arange(N + 1) / N) ** p
+    iterates: list[np.ndarray] = []
+    decreases: list[float] = []
+    while not decreases or decreases[-1] >= tol:
+        max_dec = 0.0
+        for b in range(1, N):
+            a = np.arange(b)[:, None]
+            c = np.arange(b + 1, N + 1)[None, :]
+            lam = (c - b) / (c - a)
+            m = (lam * g[:b, None] + (1.0 - lam) * g[None, b + 1:] + spread[c - a]).min()
+            if m < g[b]:
+                max_dec = max(max_dec, g[b] - m)
+                g[b] = m
+        iterates.append(g.copy())
+        decreases.append(float(max_dec))
+    return iterates, decreases
+
+
+class TestDirtySweeps:
+    @pytest.mark.parametrize("p", [1, 1.5, 2])
+    @pytest.mark.parametrize("N", [48, 97, 160, 255])
+    def test_match_full_row_sweeps_bit_for_bit(self, N, p):
+        iterates, decreases = full_row_sweeps(p, N, 1e-9)
+        assert len(iterates) > 3
+        for max_iters in (2, 3, 1000):
+            stats: dict = {}
+            try:
+                g = estimate_sup(p, N, max_iters=max_iters, stats=stats)
+            except ConvergenceError as exc:
+                g = exc.last
+            k = min(max_iters, len(iterates))
+            assert g.floats().tobytes() == iterates[k - 1].tobytes()
+            assert (stats["iterations"], stats["decreases"]) == (k, decreases[:k])
+
+    @pytest.mark.parametrize("N", [9, 40, 131])
+    def test_dirty_min_equals_full_row_min(self, N):
+        # A decrease confined to rows a0..a1-1 and columns c0..c1-1 of row b:
+        # the stale minimum and the minimum over those entries give the new
+        # full-row minimum exactly.  Empty ranges are drawn too.
+        rng = np.random.default_rng(N)
+        v = np.empty(N + 1)
+        spread = (np.arange(N + 1) / N) ** 1.5
+        row, dirty_min = _triple_rows(N, lambda den, lam: spread[den], v)
+        moved = 0
+        for _ in range(300):
+            v[:] = rng.random(N + 1)
+            b = int(rng.integers(1, N))
+            a0, a1 = sorted(rng.integers(0, b + 1, size=2).tolist())
+            c0, c1 = sorted(rng.integers(b + 1, N + 2, size=2).tolist())
+            stale = row(b).min()
+            for lo, hi in ((a0, a1), (c0, c1)):
+                hit = rng.integers(lo, hi, size=3) if hi > lo else []
+                v[hit] *= rng.uniform(0.0, 0.5, size=len(hit))
+            want = row(b).min()
+            assert dirty_min(b, stale, a0, a1, c0, c1) == want
+            moved += bool(want < stale)
+        assert moved > 100
+
+    @pytest.mark.parametrize("p, N", [(1, 64), (1.5, 97)])
+    def test_blocks_cover_every_changed_input(self, monkeypatch, p, N):
+        # Each sweep reads every row once, whole or through dirty_min, whose
+        # ranges must hold every value of g that changed since the row was
+        # last read (g[b] itself is no input of row b).
+        calls = []
+
+        def spy(N, defect, v):
+            row, dirty_min = _triple_rows(N, defect, v)
+
+            def row_spy(b):
+                calls.append((b, v.copy(), None))
+                return row(b)
+
+            def dirty_min_spy(b, bound, *ranges):
+                calls.append((b, v.copy(), ranges))
+                return dirty_min(b, bound, *ranges)
+
+            return row_spy, dirty_min_spy
+
+        monkeypatch.setattr(extremal, "_triple_rows", spy)
+        stats: dict = {}
+        estimate_sup(p, N, stats=stats)
+        assert [b for b, _, _ in calls] == list(range(1, N)) * stats["iterations"]
+        last_read: dict = {}
+        blocks = 0
+        for b, v, ranges in calls:
+            if ranges is not None:
+                a0, a1, c0, c1 = ranges
+                for i in np.flatnonzero(v != last_read[b]).tolist():
+                    assert i == b or a0 <= i < a1 or c0 <= i < c1, (b, i, ranges)
+                blocks += 1
+            last_read[b] = v
+        assert blocks > N
+
+    @pytest.mark.parametrize("p, N", [(1, 128), (1.5, 64), (2, 32)])
+    def test_triples_read(self, p, N):
+        stats: dict = {}
+        estimate_sup(p, N, stats=stats)
+        read = stats["triples_read"]
+        assert len(read) == stats["iterations"]
+        assert read[0] == stats["triples"]
+        assert all(type(r) is int and 0 <= r <= stats["triples"] for r in read)
+        if p == 1:
+            assert sum(read) < stats["iterations"] * stats["triples"] / 2
+
+
 class TestEstimateSup:
     @pytest.mark.parametrize("p", [1, 1.5, 2])
     @pytest.mark.parametrize("N", [2, 3, 7, 16, 24])
@@ -265,6 +382,15 @@ class TestEstimateSup:
             estimate_sup(1, 8, tol=0)
         with pytest.raises(ValueError):
             estimate_sup(1, 8, max_iters=0)
+
+    @pytest.mark.parametrize("p", [1024, 1100, math.inf])
+    def test_start_bound_must_be_a_finite_float(self, p):
+        with pytest.raises(ValueError, match=f"defect exponent p must be < 1024 .*got {p}"):
+            estimate_sup(p, 8)
+
+    def test_largest_exponent_below_the_float_range(self):
+        g = estimate_sup(1023.5, 8)
+        assert np.all(g.floats() >= 0) and g[0] == g[8] == 0.0
 
 
 def test_parabola_grid_matches_pointwise():
