@@ -47,7 +47,7 @@ _TYPES = {
     "group": ("a string", lambda v: isinstance(v, str)),
     "s": ("a string", lambda v: isinstance(v, str)),
     "digraph": ("an object", lambda v: isinstance(v, dict)),
-    "n": ("an int", _is_int),
+    "n": ("a positive int", lambda v: _is_int(v) and v > 0),
     "arcs": ("a list of [int, int] pairs", lambda v: isinstance(v, list)
              and all(isinstance(a, list) and len(a) == 2 and all(map(_is_int, a)) for a in v)),
     "m": ("a positive int", lambda v: _is_int(v) and v > 0),

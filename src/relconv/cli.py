@@ -78,30 +78,26 @@ def _records_json(records: list) -> str:
     return text
 
 
-def _report(config: dict, body: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "config": config, **body}
+def _emit(args, config: dict, body: dict) -> None:
+    """Write the JSON report to --out, when given: the schema version, then
+    the run configuration from the subcommand to the seed, then the body."""
+    if args.out:
+        config = {"subcommand": args.command, **config, "seed": args.seed}
+        _write_json(args.out, {"schema_version": SCHEMA_VERSION, "config": config, **body})
 
 
 def _cmd_eval_f(args) -> int:
     x = Fraction(args.x)
     mv = majorant(x)
     print(f"F({args.x}) = {mv.value!r}  (k = {mv.branch})")
-    if args.out:
-        _write_json(args.out, _report(
-            {"subcommand": "eval-f", "x": args.x, "seed": args.seed},
-            {"value": mv.value, "k": mv.branch},
-        ))
+    _emit(args, {"x": args.x}, {"value": mv.value, "k": mv.branch})
     return 0
 
 
 def _cmd_beta(args) -> int:
     b = branch_point(args.k)
     print(f"beta({args.k}) = {b} (~= {float(b)!r})")
-    if args.out:
-        _write_json(args.out, _report(
-            {"subcommand": "beta", "k": args.k, "seed": args.seed},
-            {"numerator": str(b.numerator), "denominator": str(b.denominator), "float": float(b)},
-        ))
+    _emit(args, {"k": args.k}, {"numerator": str(b.numerator), "denominator": str(b.denominator), "float": float(b)})
     return 0
 
 
@@ -120,13 +116,9 @@ def _cmd_estimate_sup(args) -> int:
     )
     if args.csv:
         write_csv(g, args.csv)
-    if args.out:
-        _write_json(args.out, _report(
-            {"subcommand": "estimate-sup", "p": args.p, "n": args.n,
-             "tol": args.tol, "max_iters": args.max_iters, "seed": args.seed},
-            {"iterations": stats["iterations"], "converged": stats["converged"],
-             "values": [float(v) for v in g.floats()]},
-        ))
+    _emit(args, {"p": args.p, "n": args.n, "tol": args.tol, "max_iters": args.max_iters},
+          {"iterations": stats["iterations"], "converged": stats["converged"],
+           "values": [float(v) for v in g.floats()]})
     return code
 
 
@@ -139,7 +131,7 @@ def _load_fn(source: str, n: int | None) -> GridFunction:
             return majorant_grid(n)
         if rest == "parabola":
             return parabola_grid(n)
-        if rest.startswith("tent:"):
+        if rest.startswith("tent:") and rest.count(",") == 1:
             x0_s, h0_s = rest[len("tent:"):].split(",")
             return make_tent(Fraction(x0_s), Fraction(h0_s), n)
         raise ValueError(f"unknown builtin {rest!r} (want F, parabola, or tent:x0,h0)")
@@ -149,31 +141,30 @@ def _load_fn(source: str, n: int | None) -> GridFunction:
 def _cmd_check_class(args) -> int:
     f = _load_fn(args.fn, args.n)
     klass = args.klass
+    unknown = f"unknown class {klass!r} (want F, F0, Fm:m, or strong)"
     if klass == "F":
         violations = check_almost_convex(f)
     elif klass == "F0":
         violations = check_almost_convex_anchored(f)
     elif klass.startswith("Fm:"):
-        violations = check_mean_inequality(f, int(klass[3:]), samples=args.samples, seed=args.seed)
+        try:
+            m = int(klass[3:])
+        except ValueError:
+            raise ValueError(unknown) from None
+        violations = check_mean_inequality(f, m, samples=args.samples, seed=args.seed)
     elif klass == "strong":
         violations = check_sharpened(f)
     else:
-        raise ValueError(f"unknown class {klass!r} (want F, F0, Fm:m, or strong)")
+        raise ValueError(unknown)
     arithmetic = "rational" if f.is_exact and klass in ("F", "F0") else "float"
-    report = _report(
-        {"subcommand": "check-class", "fn": args.fn, "class": klass, "n": f.N,
-         "samples": args.samples, "seed": args.seed},
-        {
-            "input": args.fn,
-            "class": klass,
-            "N": f.N,
-            "arithmetic": arithmetic,
-            "violations": violations,
-            "max_slack": violations.max_slack if violations.max_slack != -float("inf") else None,
-        },
-    )
-    if args.out:
-        _write_json(args.out, report)
+    _emit(args, {"fn": args.fn, "class": klass, "n": f.N, "samples": args.samples}, {
+        "input": args.fn,
+        "class": klass,
+        "N": f.N,
+        "arithmetic": arithmetic,
+        "violations": violations,
+        "max_slack": violations.max_slack if violations.max_slack != -float("inf") else None,
+    })
     print(f"{args.fn} vs class {klass} at N={f.N} [{arithmetic}]: {len(violations)} violation(s)")
     return 1 if violations else 0
 
@@ -182,20 +173,13 @@ def _cmd_profile(args) -> int:
     group = AbelianGroup.parse(args.group)
     s = ConnectionSet.from_text(group, args.s)
     report = profile(group, s, m_override=args.m)
-    body = report.to_dict()
-    payload = _report(
-        {"subcommand": "profile", "group": args.group, "s": args.s,
-         "m": args.m, "seed": args.seed},
-        body,
-    )
-    if args.out:
-        if args.format == "csv":
-            _write_rows_csv(args.out, [
-                {"group": report.group, "S": report.connection_set, **e.to_dict()}
-                for e in report.entries
-            ])
-        else:
-            _write_json(args.out, payload)
+    if args.out and args.format == "csv":
+        _write_rows_csv(args.out, [
+            {"group": report.group, "S": report.connection_set, **e.to_dict()}
+            for e in report.entries
+        ])
+    else:
+        _emit(args, {"group": args.group, "s": args.s, "m": args.m}, report.to_dict())
     interior = [e.ratio for e in report.entries if 0 < e.n < report.order]
     print(
         f"{report.group} S={report.connection_set} m={report.m}: "
@@ -224,11 +208,7 @@ def _cmd_verify_catalog(args) -> int:
 def _cmd_counterexample(args) -> int:
     boundary, bound = six_cycle_counterexample()
     print(f"{boundary} < {bound!r}")
-    if args.out:
-        _write_json(args.out, _report(
-            {"subcommand": "counterexample-s3", "seed": args.seed},
-            {"boundary": boundary, "bound": bound},
-        ))
+    _emit(args, {}, {"boundary": boundary, "bound": bound})
     return 0
 
 

@@ -142,8 +142,16 @@ class TestCheckClass:
         code, _ = run(capsys, "check-class", "--fn", str(sup), "--class", "F")
         assert code == 0
 
-    def test_unknown_class(self, capsys):
-        assert run(capsys, "check-class", "--fn", "builtin:F", "--class", "Fq", "--n", "8")[0] == 2
+    @pytest.mark.parametrize("klass", ["Fq", "Fm:x", "Fm:", "Fm:2.5"])
+    def test_unknown_class(self, capsys, klass):
+        assert main(["check-class", "--fn", "builtin:F", "--class", klass, "--n", "8"]) == 2
+        assert capsys.readouterr().err == f"error: unknown class {klass!r} (want F, F0, Fm:m, or strong)\n"
+
+    @pytest.mark.parametrize("fn", ["builtin:tent:1/4", "builtin:tent:1/4,1,2", "builtin:G"])
+    def test_unknown_builtin(self, capsys, fn):
+        assert main(["check-class", "--fn", fn, "--class", "F", "--n", "8"]) == 2
+        rest = fn[len("builtin:"):]
+        assert capsys.readouterr().err == f"error: unknown builtin {rest!r} (want F, parabola, or tent:x0,h0)\n"
 
     def test_builtin_requires_n(self, capsys):
         assert run(capsys, "check-class", "--fn", "builtin:F", "--class", "F")[0] == 2
@@ -288,6 +296,43 @@ class TestReportBytes:
             assert path.read_text() == json.dumps(oracle, indent=2) + "\n"
 
 
+# argv of each subcommand that writes a JSON report, and its exit code
+ENVELOPE_RUNS = {
+    "eval-f": (["eval-f", "--x", "1/6"], 0),
+    "beta": (["beta", "--k", "3"], 0),
+    "estimate-sup": (["estimate-sup", "--p", "1", "--n", "16"], 0),
+    "estimate-sup-stopped": (["estimate-sup", "--p", "1", "--n", "16", "--max-iters", "1"], 1),
+    "check-class": (["check-class", "--fn", "builtin:F", "--class", "Fm:3", "--n", "12", "--samples", "50"], 0),
+    "profile": (["profile", "--group", "Z3xZ3", "--s", "basis"], 0),
+    "counterexample-s3": (["counterexample-s3"], 0),
+}
+
+
+class TestReportEnvelope:
+    """Every JSON report opens with schema_version and a config that names
+    the subcommand first and the seed last."""
+
+    @pytest.mark.parametrize("argv, code", ENVELOPE_RUNS.values(), ids=ENVELOPE_RUNS.keys())
+    def test_config_runs_from_subcommand_to_seed(self, capsys, tmp_path, argv, code):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--seed", "17", "--out", str(out)]) == code
+        text = out.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        assert list(payload)[:2] == ["schema_version", "config"] and payload["schema_version"] == 1
+        config = list(payload["config"].items())
+        assert config[0] == ("subcommand", argv[0])
+        assert config[-1] == ("seed", 17)
+
+    def test_csv_profile_writes_no_json(self, capsys, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--group", "Z3xZ3", "--s", "basis", "--format", "csv",
+                     "--seed", "17", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "group,S,n,min_boundary,witness,bound,ratio"
+        assert len(lines) == 1 + 10
+
+
 class TestProfile:
     def test_json_report(self, capsys, tmp_path):
         out = tmp_path / "p.json"
@@ -354,13 +399,15 @@ class TestVerifyCatalog:
         ({"name": "x", "group": 4, "s": "(1)"}, "'group' must be a string, got 4"),
         ({"name": "x", "group": "Z4", "s": 1}, "'s' must be a string, got 1"),
         ({"name": 7, "group": "Z4", "s": "(1)"}, "'name' must be a string, got 7"),
-        ({"name": "x", "digraph": {"n": "6", "arcs": [[0, 1]]}}, "'n' must be an int, got '6'"),
+        ({"name": "x", "digraph": {"n": "6", "arcs": [[0, 1]]}}, "'n' must be a positive int, got '6'"),
+        ({"name": "x", "digraph": {"n": -1, "arcs": [[0, 1]]}}, "'n' must be a positive int, got -1"),
+        ({"name": "x", "digraph": {"n": 0, "arcs": []}}, "'n' must be a positive int, got 0"),
         ({"name": "x", "digraph": {"n": 6, "arcs": 5}}, "'arcs' must be a list of [int, int] pairs, got 5"),
         ({"name": "x", "digraph": {"n": 6, "arcs": [[0, "1"]]}}, "'arcs' must be a list of [int, int] pairs"),
         ({"name": "x", "m": "2", "digraph": {"n": 6, "arcs": [[0, 1]]}}, "'m' must be a positive int, got '2'"),
         ({"name": "x", "m": 0, "digraph": {"n": 6, "arcs": [[0, 1]]}}, "'m' must be a positive int, got 0"),
         ({"name": "x", "m": True, "group": "Z4", "s": "(1)"}, "'m' must be a positive int, got True"),
-    ], ids=["group-int", "s-int", "name-int", "n-string", "arcs-int", "arc-string", "m-string", "m-zero", "m-bool"])
+    ], ids=["group-int", "s-int", "name-int", "n-string", "n-negative", "n-zero", "arcs-int", "arc-string", "m-string", "m-zero", "m-bool"])
     def test_value_of_wrong_type_exits_two(self, capsys, tmp_path, entry, message):
         cat = tmp_path / "cat.json"
         cat.write_text(json.dumps({"entries": [{"name": "Z4", "group": "Z4", "s": "(1)"}, entry]}))

@@ -188,7 +188,58 @@ class TestAnchored:
             assert violations[0].lhs == violations[-1].lhs == f[0]
 
 
+# the values of test_cli.HUGE_CSV: every pair sum overflows
+HUGE_VALUES = [-1.7e308, 1.7e308, -1.7e308]
+
+
+def pair_loop_scan(f: GridFunction) -> tuple[list[tuple], str]:
+    """Oracle for the m = 2 mean scan: one vectorized pass per half-distance
+    d over the pairs (i, i + 2d).  Returns the sorted (xs, lhs.hex(),
+    rhs.hex()) records and max_slack.hex()."""
+    N = f.N
+    vals = f.floats()
+    out = []
+    worst = -math.inf
+    with np.errstate(over="ignore"):
+        for d in range(1, N // 2 + 1):
+            i = np.arange(0, N - 2 * d + 1)
+            lhs = vals[i + d]
+            gap = lhs - (0.5 * (vals[i] + vals[i + 2 * d]) + (2 * d) / N)
+            worst = max(worst, float(gap.max()))
+            for j in np.flatnonzero(gap > SLACK_TOL):
+                out.append(((int(i[j]), int(i[j]) + 2 * d), float(lhs[j]).hex(), float(lhs[j] - gap[j]).hex()))
+    return sorted(out), worst.hex()
+
+
+def scaled_random_grids(N: int) -> list[GridFunction]:
+    """Seeded finite grid functions at magnitudes from subnormal to near the float maximum."""
+    rng = np.random.default_rng(N)
+    grids = [GridFunction(N, scale * rng.uniform(-1, 1, N + 1))
+             for scale in (1e-310, 1e-300, 1e-3, 1.0, 1e3, 1e300, 1.7e308) for _ in range(2)]
+    bumped = majorant_grid(N).floats() + rng.uniform(0, 0.3, N + 1)
+    return grids + [GridFunction(N, bumped), GridFunction(2, HUGE_VALUES)]
+
+
 class TestMeanInequality:
+    @pytest.mark.parametrize("N", [2, 3, 17, 64, 255])
+    def test_pairs_match_per_distance_oracle(self, N):
+        for f in scaled_random_grids(N):
+            out = check_mean_inequality(f, 2)
+            records = [(v.xs, v.lhs.hex(), v.rhs.hex()) for v in out]
+            assert (records, out.max_slack.hex()) == pair_loop_scan(f)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("N", [2, 3, 17, 64, 255])
+    def test_sampled_records_match_scalar_recomputation(self, N, m):
+        for seed, f in enumerate(scaled_random_grids(N)):
+            v = f.floats().tolist()
+            for rec in check_mean_inequality(f, m, samples=2000, seed=seed):
+                total = v[rec.xs[0]]  # numpy's row mean adds fewer than 8 values in order
+                for x in rec.xs[1:]:
+                    total += v[x]
+                rhs = total / m + (rec.xs[-1] - rec.xs[0]) / f.N
+                assert (rec.lhs.hex(), rec.rhs.hex()) == (v[sum(rec.xs) // m].hex(), rhs.hex()), rec
+
     def test_majorant_passes_exhaustive_pairs(self):
         assert not check_mean_inequality(majorant_grid(128), 2)
 
@@ -216,7 +267,7 @@ class TestMeanInequality:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_huge_values_overflow_quietly(self, m):
-        f = GridFunction(2, [-1.7e308, 1.7e308, -1.7e308])
+        f = GridFunction(2, HUGE_VALUES)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             violations = check_mean_inequality(f, m, samples=50)
