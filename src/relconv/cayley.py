@@ -20,7 +20,11 @@ import numpy as np
 
 
 class AbelianGroup:
-    """Direct product of cyclic groups Z_{n1} x ... x Z_{nr}."""
+    """Direct product of cyclic groups Z_{n1} x ... x Z_{nr}, held as its factors: O(rank) state.
+
+    Element g in 0..order-1 has coordinates g // p_i % n_i, with place values
+    p_i = n1 * ... * n_{i-1}: the first factor is the least significant digit.
+    """
 
     def __init__(self, factors: Sequence[int]):
         factors = tuple(int(n) for n in factors)
@@ -28,34 +32,27 @@ class AbelianGroup:
             raise ValueError(f"cyclic factors must all be >= 2, got {factors}")
         self.factors = factors
         self.order = math.prod(factors)
-        self._coords = []
-        for x in range(self.order):
-            t = []
-            for n in factors:
-                t.append(x % n)
-                x //= n
-            self._coords.append(tuple(t))
-        self._index = {c: i for i, c in enumerate(self._coords)}
+        self._places = tuple(math.prod(factors[:i]) for i in range(len(factors)))
 
     def coords(self, g: int) -> tuple[int, ...]:
-        return self._coords[g]
+        if not 0 <= g < self.order:
+            raise IndexError(f"element {g} out of range for order {self.order}")
+        return tuple(g // p % n for p, n in zip(self._places, self.factors))
 
     def index(self, coords: Sequence[int]) -> int:
-        key = tuple(c % n for c, n in zip(coords, self.factors, strict=True))
-        return self._index[key]
+        return sum(c % n * p for c, n, p in zip(coords, self.factors, self._places, strict=True))
 
     def add(self, a: int, b: int) -> int:
-        ca, cb = self._coords[a], self._coords[b]
-        return self._index[tuple((x + y) % n for x, y, n in zip(ca, cb, self.factors))]
+        return self.index([x + y for x, y in zip(self.coords(a), self.coords(b))])
 
     def neg(self, a: int) -> int:
-        return self._index[tuple((-x) % n for x, n in zip(self._coords[a], self.factors))]
+        return self.index([-x for x in self.coords(a)])
 
     def shift_table(self, s: int) -> np.ndarray:
         """Permutation table t with t[x] = x + s, added per mixed-radix digit."""
         # the first factor is the least significant digit: numpy's order="F"
         digits = np.unravel_index(np.arange(self.order), self.factors, order="F")
-        shifted = [(d + c) % n for d, c, n in zip(digits, self._coords[s], self.factors)]
+        shifted = [(d + c) % n for d, c, n in zip(digits, self.coords(s), self.factors)]
         return np.ravel_multi_index(shifted, self.factors, order="F")
 
     def describe(self) -> str:
@@ -178,8 +175,6 @@ class VertexSet:
 
 def element_order(group: AbelianGroup, g: int) -> int:
     """Order of element g: lcm over coordinates of n_i / gcd(g_i, n_i)."""
-    if not 0 <= g < group.order:
-        raise IndexError(f"element {g} out of range for order {group.order}")
     return math.lcm(*(n // math.gcd(c, n) for c, n in zip(group.coords(g), group.factors)))
 
 
@@ -189,17 +184,11 @@ def is_generating(group: AbelianGroup, s: ConnectionSet) -> bool:
     In a finite group, closure under addition of S alone suffices; inverses
     arise as iterated sums.
     """
-    seen = {0}
-    frontier = [0]
+    tables = [group.shift_table(e).tolist() for e in s]
+    seen, frontier = {0}, {0}
     while frontier:
-        nxt = []
-        for a in frontier:
-            for e in s:
-                b = group.add(a, e)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
+        frontier = {tab[a] for a in frontier for tab in tables} - seen
+        seen |= frontier
     return len(seen) == group.order
 
 

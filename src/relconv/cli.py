@@ -32,6 +32,7 @@ from .convexity import (
 from .extremal import (
     ConvergenceError,
     branch_point,
+    default_branch_cap,
     estimate_sup,
     majorant,
     majorant_grid,
@@ -95,6 +96,9 @@ def _cmd_eval_f(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    # past the branch points E uses the exact powers outgrow int-to-str conversion
+    if not 0 <= args.k <= default_branch_cap():
+        raise ValueError(f"--k must be in 0..{default_branch_cap()}, got {args.k}")
     b = branch_point(args.k)
     print(f"beta({args.k}) = {b} (~= {float(b)!r})")
     _emit(args, {"k": args.k}, {"numerator": str(b.numerator), "denominator": str(b.denominator), "float": float(b)})

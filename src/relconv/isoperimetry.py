@@ -38,6 +38,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -134,24 +135,25 @@ def _low_parts(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, by_size, starts
 
 
-def _subset_minima(order: int, layers: list[tuple[np.ndarray, np.ndarray]], identity: bool) -> list[tuple[int, int]]:
+def _subset_minima(order: int, layers: Iterable[tuple[Sequence, Sequence]], identity: bool) -> list[tuple[int, int]]:
     """(minimum boundary, lex-first witness bits) for every cardinality 0..order.
 
-    Each layer is a pair of index sequences (src, dst) naming arcs src -> dst,
-    with every source at most once.  With identity=True only the sets that
-    contain vertex 0 are enumerated, and cardinality 0 is (0, 0).  Graphs of
-    more than ORDER_CAP vertices raise ValueError before any enumeration.
+    layers, any iterable, yields pairs of index sequences (src, dst) naming
+    arcs src -> dst, with every source at most once.  With identity=True only
+    the sets that contain vertex 0 are enumerated, and cardinality 0 is
+    (0, 0).  Past ORDER_CAP vertices it raises ValueError before reading layers.
 
     Masks hold vertex v at bit order-1-v, so that among sets of one size the
     lex-first sorted tuple, which owns the lowest differing vertex, is the
     largest mask.  Each mask is keyed (boundary << order) | ~mask, and the
     smallest key per cardinality is the minimum with its lex-first witness.
     """
+    if order > ORDER_CAP:
+        raise ValueError(f"order {order} exceeds exhaustive-search cap {ORDER_CAP}")
+    layers = list(layers)
     arcs = sum(len(src) for src, _ in layers)
     if order + arcs.bit_length() > 64:
         raise ValueError(f"{order} vertices and {arcs} arcs exceed the 64-bit search keys")
-    if order > ORDER_CAP:
-        raise ValueError(f"order {order} exceeds exhaustive-search cap {ORDER_CAP}")
     full = (1 << order) - 1
     # pre[l, p]: the vertices whose layer-l image sits at bit p
     pre = np.zeros((len(layers), order), dtype=np.uint64)
@@ -262,15 +264,14 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     generates the group, a bound violation is mathematically impossible and
     raises RuntimeError; with non-generating S the entries are computed
     anyway and violations are merely reported.  Groups of more than
-    ORDER_CAP elements raise ValueError before S is walked over the group.
+    ORDER_CAP elements raise ValueError before a shift table of S is built.
     """
     order = group.order
     m = _exponent(group, s, m_override)
 
     t0 = time.perf_counter()
     # identity-containing sets suffice: the boundary is translation invariant
-    src = np.arange(order)
-    minima = _subset_minima(order, [(src, group.shift_table(e)) for e in s], identity=True)
+    minima = _subset_minima(order, ((range(order), group.shift_table(e)) for e in s), identity=True)
     entries = [_entry(order, m, n, mb, VertexSet(bits, order)) for n, (mb, bits) in enumerate(minima)]
     wall_ms = (time.perf_counter() - t0) * 1e3
     generating = is_generating(group, s)
@@ -305,13 +306,13 @@ def digraph_profile(d: GenericDigraph) -> list[tuple[int, VertexSet]]:
     vertex-transitive, so all 2^n subsets are searched.
     """
     layers: list[tuple[list[int], list[int]]] = []
-    out_degree = [0] * d.n
+    last_layer: dict[int, int] = {}  # per vertex with arcs: O(arcs), not O(n)
     for u, v in d.arcs:
-        if out_degree[u] == len(layers):
+        k = last_layer[u] = last_layer.get(u, -1) + 1
+        if k == len(layers):
             layers.append(([], []))
-        layers[out_degree[u]][0].append(u)
-        layers[out_degree[u]][1].append(v)
-        out_degree[u] += 1
+        layers[k][0].append(u)
+        layers[k][1].append(v)
     return [(mb, VertexSet(bits, d.n)) for mb, bits in _subset_minima(d.n, layers, identity=False)]
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +51,88 @@ class TestAbelianGroup:
             AbelianGroup.parse("Z4xQ8")
         with pytest.raises(ValueError):
             AbelianGroup([1, 2])
+
+
+class TablesOracle:
+    """Per-element coordinate list by repeated divmod, and its inverse dict: an oracle for place values."""
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.coords = []
+        for x in range(math.prod(factors)):
+            digits = []
+            for n in factors:
+                x, d = divmod(x, n)
+                digits.append(d)
+            self.coords.append(tuple(digits))
+        self.index = {c: i for i, c in enumerate(self.coords)}
+
+    def add(self, a, b):
+        return self.index[tuple((x + y) % n for x, y, n in zip(self.coords[a], self.coords[b], self.factors))]
+
+    def neg(self, a):
+        return self.index[tuple(-x % n for x, n in zip(self.coords[a], self.factors))]
+
+
+def ordered_factorizations(n: int) -> list[list[int]]:
+    """Every sequence of factors >= 2 with product n, in every order."""
+    return [[n]] + [[d] + rest for d in range(2, n) if n % d == 0 for rest in ordered_factorizations(n // d)]
+
+
+ORACLE_FACTORS = [[2], [7], [2, 4], [3, 4], [2, 2, 3], [2, 3, 5], [2] * 5, [4, 8]]
+
+
+class TestMixedRadix:
+    @pytest.mark.parametrize("factors", ORACLE_FACTORS, ids=str)
+    def test_matches_per_element_tables(self, factors):
+        g, oracle = AbelianGroup(factors), TablesOracle(factors)
+        for a in range(g.order):
+            assert g.coords(a) == oracle.coords[a]
+            assert g.index(g.coords(a)) == a
+            assert g.neg(a) == oracle.neg(a)
+            assert g.shift_table(a).tolist() == [g.add(x, a) for x in range(g.order)]
+            assert [g.add(a, b) for b in range(g.order)] == [oracle.add(a, b) for b in range(g.order)]
+
+    def test_index_reduces_each_coordinate(self):
+        g = AbelianGroup([3, 4])
+        assert g.index((-1, 9)) == g.index((2, 1))
+        with pytest.raises(ValueError):
+            g.index((1,))
+
+    @pytest.mark.parametrize("call", [
+        lambda g: g.coords(-1), lambda g: g.coords(g.order), lambda g: g.add(-1, 1),
+        lambda g: g.add(1, g.order), lambda g: g.neg(-1),
+    ], ids=["coords-negative", "coords-order", "add-negative", "add-order", "neg-negative"])
+    def test_out_of_range_element_raises(self, call):
+        with pytest.raises(IndexError, match="out of range for order 4"):
+            call(AbelianGroup([4]))
+
+    def test_generating_matches_bfs_through_add(self):
+        def closure_oracle(g, s):
+            seen, frontier = {0}, [0]
+            while frontier:
+                frontier = [b for b in {g.add(a, e) for a in frontier for e in s} if b not in seen]
+                seen.update(frontier)
+            return len(seen) == g.order
+
+        checked = 0
+        for g in (AbelianGroup(f) for n in range(2, 13) for f in ordered_factorizations(n)):
+            for elems in itertools.chain.from_iterable(itertools.combinations(range(g.order), k) for k in (1, 2)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # S may hold the identity
+                    s = ConnectionSet(g, elems)
+                assert is_generating(g, s) == closure_oracle(g, s), (g, elems)
+                checked += 1
+        assert checked > 1000
+
+    def test_huge_group_costs_its_rank(self):
+        g = AbelianGroup([10**6, 10**6])
+        assert g.order == 10**12
+        last = g.order - 1
+        assert g.coords(last) == (10**6 - 1, 10**6 - 1)
+        assert g.index((5, 7)) == 5 + 7 * 10**6
+        assert g.add(last, g.index((1, 1))) == 0
+        assert element_order(g, g.index((2, 0))) == 5 * 10**5
 
 
 class TestConnectionSet:

@@ -62,6 +62,15 @@ class TestBeta:
     def test_negative_rejected(self, capsys):
         assert run(capsys, "beta", "--k", "-1")[0] == 2
 
+    def test_last_branch_point_accepted(self, capsys):
+        assert run(capsys, "beta", "--k", "44")[0] == 0
+
+    # unchecked, k = 10**6 would build an exact power of trillions of digits
+    @pytest.mark.parametrize("k", [45, 50, 10**6])
+    def test_past_branch_cap_rejected(self, capsys, k):
+        assert main(["beta", "--k", str(k)]) == 2
+        assert capsys.readouterr().err == f"error: --k must be in 0..44, got {k}\n"
+
 
 class TestEstimateSup:
     def test_csv_format(self, capsys, tmp_path):
@@ -355,6 +364,10 @@ class TestProfile:
     def test_invalid_m_override(self, capsys):
         assert run(capsys, "profile", "--group", "Z3xZ3", "--s", "basis", "--m", "2")[0] == 2
 
+    def test_group_past_cap_is_config_error(self, capsys):
+        assert main(["profile", "--group", "Z1000000", "--s", "1"]) == 2
+        assert capsys.readouterr().err == "error: order 1000000 exceeds exhaustive-search cap 32\n"
+
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "p.csv"
         code, _ = run(capsys, "profile", "--group", "Z4", "--s", "(1)", "--out", str(out),
@@ -415,6 +428,12 @@ class TestVerifyCatalog:
         err = capsys.readouterr().err
         assert err.startswith(f"error: catalog entry 1: {message}"), err
         assert not (tmp_path / "c.csv").exists()
+
+    def test_huge_digraph_is_config_error(self, capsys, tmp_path):
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps({"entries": [{"name": "x", "digraph": {"n": 10**12, "arcs": [[0, 1], [1, 0]]}}]}))
+        assert main(["verify-catalog", "--catalog", str(cat)]) == 2
+        assert capsys.readouterr().err == f"error: order {10**12} exceeds exhaustive-search cap 32\n"
 
     def test_bound_violation_exits_one(self, capsys, tmp_path, monkeypatch):
         cat = tmp_path / "cat.json"

@@ -181,18 +181,32 @@ class TestKernel:
         want = [d * n - 2 * sum(i.bit_count() for i in range(n)) for n in range(2**d + 1)]
         assert [e.min_boundary for e in report.entries] == want
 
-    def test_key_guard_precedes_cap(self):
+    def test_cap_precedes_key_guard(self):
         loop = (list(range(60)), list(range(60)))
-        with pytest.raises(ValueError, match="64-bit"):  # 60 vertices + 6 bits of arc count
+        with pytest.raises(ValueError, match="cap"):
             _subset_minima(60, [loop], identity=False)
         with pytest.raises(ValueError, match="cap"):
             _subset_minima(ORDER_CAP + 1, [], identity=False)
+        # 32 vertices + 34 bits of arc count; len of a range allocates nothing
+        with pytest.raises(ValueError, match="64-bit"):
+            _subset_minima(ORDER_CAP, [(range(2**33), range(2**33))], identity=False)
 
     def test_arc_list_past_cap_refused_before_search(self, monkeypatch):
         monkeypatch.setattr(isoperimetry, "_low_parts", _search_started)
-        n = ORDER_CAP + 1
-        with pytest.raises(ValueError, match="cap"):
-            digraph_profile(GenericDigraph(n, ((0, 1), (1, 0))))
+        # 10**12 vertices: the out-degree count must not be an n-long list
+        for n in (ORDER_CAP + 1, 10**12):
+            with pytest.raises(ValueError, match=f"order {n} exceeds exhaustive-search cap"):
+                digraph_profile(GenericDigraph(n, ((0, 1), (1, 0))))
+
+    @pytest.mark.parametrize("gtext", ["Z1000000", "Z1000000000000", "x".join(["Z2"] * 40)])
+    def test_group_past_cap_refused_before_shift_tables(self, monkeypatch, gtext):
+        def built(group, e):
+            raise AssertionError("a shift table was built before the cap check")
+
+        monkeypatch.setattr(AbelianGroup, "shift_table", built)
+        g, s = group_and_set(gtext, "basis")
+        with pytest.raises(ValueError, match=f"order {g.order} exceeds exhaustive-search cap"):
+            profile(g, s)
 
     def test_counts_match_identity_canonical_search(self):
         report = profile(*group_and_set("Z3xZ3", "basis"))
