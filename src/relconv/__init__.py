@@ -17,7 +17,6 @@ from .cayley import (
     digraph_boundary,
     edge_boundary,
     element_order,
-    is_generating,
     max_order,
     undirected_cut,
 )

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .cayley import AbelianGroup, ConnectionSet, GenericDigraph
-from .isoperimetry import _entry, digraph_profile, profile
+from .isoperimetry import digraph_profile, profile
 
 
 @dataclass
@@ -114,9 +114,7 @@ def verify_catalog(entries: list[CatalogEntry]) -> list[dict]:
             report = profile(entry.group, entry.s, m_override=entry.m)
             label, s_text, cells = report.group, report.connection_set, report.entries
         else:
-            d = entry.digraph
-            label, s_text = entry.name, "arc-list"
-            cells = [_entry(d.n, entry.m, n, mb, w) for n, (mb, w) in enumerate(digraph_profile(d))]
+            label, s_text, cells = entry.name, "arc-list", digraph_profile(entry.digraph, entry.m)
         wall_ms = (time.perf_counter() - t0) * 1e3
         for e in cells:
             rows.append(

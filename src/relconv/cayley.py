@@ -178,20 +178,6 @@ def element_order(group: AbelianGroup, g: int) -> int:
     return math.lcm(*(n // math.gcd(c, n) for c, n in zip(group.coords(g), group.factors)))
 
 
-def is_generating(group: AbelianGroup, s: ConnectionSet) -> bool:
-    """True iff the additive closure of S from the identity covers the group.
-
-    In a finite group, closure under addition of S alone suffices; inverses
-    arise as iterated sums.
-    """
-    tables = [group.shift_table(e).tolist() for e in s]
-    seen, frontier = {0}, {0}
-    while frontier:
-        frontier = {tab[a] for a in frontier for tab in tables} - seen
-        seen |= frontier
-    return len(seen) == group.order
-
-
 def max_order(group: AbelianGroup, s: ConnectionSet) -> int:
     """Largest element order in S (the least valid exponent bound)."""
     if len(s) == 0:

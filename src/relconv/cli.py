@@ -3,7 +3,9 @@
 Exit codes, all set by `main`: 0 on success with all checked inequalities
 holding, 1 when any checked inequality is violated (the violations land in
 the report; a bound violation with a generating S is an `error:` line), 2 on
-usage or configuration errors, unreadable inputs and unwritable outputs.
+usage or configuration errors, unreadable inputs, unwritable outputs and
+inputs too large for memory.  Library warnings print as one `warning:` line
+each on stderr.
 
 Reports are JSON with a schema_version header and the run configuration
 embedded for reproducibility.  Everything except the wall_ms timing fields
@@ -16,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -273,14 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:  # bad input, unreadable or unwritable path
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # a bound violation with a generating S
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.handler(args)
+        except (ValueError, ZeroDivisionError, OSError) as exc:  # bad input, unreadable or unwritable path
+            code, error = 2, str(exc)
+        except MemoryError as exc:  # an input too large for memory
+            code, error = 2, str(exc) or "out of memory"
+        except RuntimeError as exc:  # a bound violation with a generating S
+            code, error = 1, str(exc)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -49,7 +49,6 @@ from .cayley import (
     VertexSet,
     digraph_boundary,
     edge_boundary,
-    is_generating,
     max_order,
 )
 from .extremal import majorant
@@ -260,11 +259,11 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     """Full isoperimetric profile for n = 0..|G| with bound and ratios.
 
     One kernel pass over the identity-containing subsets serves every
-    cardinality; the result is deterministic for a given (group, S).  If S
-    generates the group, a bound violation is mathematically impossible and
-    raises RuntimeError; with non-generating S the entries are computed
-    anyway and violations are merely reported.  Groups of more than
-    ORDER_CAP elements raise ValueError before a shift table of S is built.
+    cardinality and tells whether S generates the group; the result is
+    deterministic for a given (group, S).  With generating S a bound violation
+    is mathematically impossible and raises RuntimeError; with non-generating S
+    the entries are computed anyway and violations are merely reported.  Groups
+    of more than ORDER_CAP elements raise ValueError before a shift table of S is built.
     """
     order = group.order
     m = _exponent(group, s, m_override)
@@ -274,9 +273,11 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     minima = _subset_minima(order, ((range(order), group.shift_table(e)) for e in s), identity=True)
     entries = [_entry(order, m, n, mb, VertexSet(bits, order)) for n, (mb, bits) in enumerate(minima)]
     wall_ms = (time.perf_counter() - t0) * 1e3
-    generating = is_generating(group, s)
+    # A nonempty proper A has boundary 0 iff A + S lies in A, that is, iff A is a
+    # union of cosets of <S>; so S generates G iff every interior minimum is positive.
+    generating = all(mb for mb, _ in minima[1:-1])
     if not generating:
-        warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
+        warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet", stacklevel=2)
     # identity-containing proper subsets, against all nonempty proper subsets
     enumerated = 2 ** (order - 1) - 1
     report = ProfileReport(
@@ -298,12 +299,12 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     return report
 
 
-def digraph_profile(d: GenericDigraph) -> list[tuple[int, VertexSet]]:
-    """Minimum boundary and lex-first witness of an explicit digraph, for n = 0..d.n.
+def digraph_profile(d: GenericDigraph, m: int | None = None) -> list[ProfileEntry]:
+    """Profile cells of an explicit digraph for n = 0..d.n, built as profile builds its own.
 
-    The k-th arc leaving each vertex goes to layer k, so parallel arcs and
-    unequal out-degrees are counted exactly.  Arc lists need not be
-    vertex-transitive, so all 2^n subsets are searched.
+    Without an m, bound and ratio are nan.  The k-th arc leaving each vertex
+    goes to layer k, so parallel arcs and unequal out-degrees are counted
+    exactly.  Arc lists need not be vertex-transitive, so all 2^n subsets are searched.
     """
     layers: list[tuple[list[int], list[int]]] = []
     last_layer: dict[int, int] = {}  # per vertex with arcs: O(arcs), not O(n)
@@ -313,7 +314,8 @@ def digraph_profile(d: GenericDigraph) -> list[tuple[int, VertexSet]]:
             layers.append(([], []))
         layers[k][0].append(u)
         layers[k][1].append(v)
-    return [(mb, VertexSet(bits, d.n)) for mb, bits in _subset_minima(d.n, layers, identity=False)]
+    minima = _subset_minima(d.n, layers, identity=False)
+    return [_entry(d.n, m, n, mb, VertexSet(bits, d.n)) for n, (mb, bits) in enumerate(minima)]
 
 
 def six_cycle_counterexample(path_len: int = 1) -> tuple[int, float]:

@@ -6,6 +6,7 @@ import zipfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relconv
@@ -364,6 +365,18 @@ class TestProfile:
     def test_invalid_m_override(self, capsys):
         assert run(capsys, "profile", "--group", "Z3xZ3", "--s", "basis", "--m", "2")[0] == 2
 
+    def test_library_warnings_are_one_line_each(self):
+        src = str(Path(relconv.__file__).parent.parent)
+        program = (f"import sys; sys.path.insert(0, {src!r}); from relconv.cli import main; "
+                   "sys.exit(main(['profile', '--group', 'Z4', '--s', '0,2']))")
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == "Z4 S=(0),(2) m=2: min ratio 0.000000 [hypothesis unmet]\n"
+        assert proc.stderr == (
+            "warning: connection set contains the identity; it contributes no boundary edges\n"
+            "warning: S=(0),(2) does not generate Z4; bound hypothesis unmet\n"
+        )
+
     def test_group_past_cap_is_config_error(self, capsys):
         assert main(["profile", "--group", "Z1000000", "--s", "1"]) == 2
         assert capsys.readouterr().err == "error: order 1000000 exceeds exhaustive-search cap 32\n"
@@ -429,6 +442,13 @@ class TestVerifyCatalog:
         assert err.startswith(f"error: catalog entry 1: {message}"), err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_repeated_warning_prints_each_time(self, capsys, tmp_path):
+        cat = tmp_path / "cat.json"
+        entry = {"name": "Z8", "group": "Z8", "s": "(2)"}
+        cat.write_text(json.dumps({"entries": [entry, entry]}))
+        main(["verify-catalog", "--catalog", str(cat)])
+        assert capsys.readouterr().err == "warning: S=(2) does not generate Z8; bound hypothesis unmet\n" * 2
+
     def test_huge_digraph_is_config_error(self, capsys, tmp_path):
         cat = tmp_path / "cat.json"
         cat.write_text(json.dumps({"entries": [{"name": "x", "digraph": {"n": 10**12, "arcs": [[0, 1], [1, 0]]}}]}))
@@ -490,3 +510,20 @@ def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv,
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-sup", "--p", "1", "--n", "64"],
+    ["check-class", "--fn", "builtin:parabola", "--class", "F", "--n", "64"],
+], ids=["estimate-sup", "check-class"])
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 728. TiB for an array with shape (9999999, 9999999) and data type float64", "",
+], ids=["numpy", "bare"])
+def test_allocation_failure_exits_two_with_one_error_line(capsys, monkeypatch, argv, message):
+    # the triple tables are allocated through np.empty; no memory is asked for
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np, "empty", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"

@@ -66,8 +66,9 @@ class TestMinBoundary:
 
     def test_nongenerating_warns(self):
         g, s = group_and_set("Z2xZ2", "(1,0)")
-        with pytest.warns(UserWarning, match="does not generate"):
+        with pytest.warns(UserWarning, match="does not generate") as record:
             profile(g, s)
+        assert record[0].filename == __file__  # the caller's line, not the library's
 
     def test_exhaustive_oracle_small_cases(self):
         cases = [("Z6", "(1)"), ("Z2xZ4", "basis"), ("Z3xZ3", "(1,0),(1,1)"), ("Z12", "(3),(4)")]
@@ -140,15 +141,6 @@ class TestProfile:
         g, s = group_and_set(f"Z{ORDER_CAP + 1}", "(1)")
         with pytest.raises(ValueError, match="cap"):
             profile(g, s)
-
-    def test_past_cap_refused_before_generating_check(self, monkeypatch):
-        # is_generating walks the whole group, so the cap must refuse first
-        def walked(group, s):
-            raise AssertionError("is_generating ran before the cap check")
-
-        monkeypatch.setattr(isoperimetry, "is_generating", walked)
-        with pytest.raises(ValueError, match="cap"):
-            profile(*group_and_set(f"Z{ORDER_CAP + 8}", "(1),(7)"))
 
     def test_config_does_not_change_results(self):
         # repeated calls on one group and a call on a fresh equal group agree
@@ -227,7 +219,8 @@ class TestKernel:
             sets = [VertexSet.from_indices(c, n) for c in itertools.combinations(range(n), k)]
             counts = [digraph_boundary(d, a) for a in sets]
             best = min(counts)
-            assert got[k] == (best, sets[counts.index(best)])  # the first minimizer in lex order
+            # the first minimizer in lex order
+            assert (got[k].n, got[k].min_boundary, got[k].witness) == (k, best, sets[counts.index(best)])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -266,11 +259,12 @@ class TestCounterexample:
             six_cycle_counterexample(0)
 
     def test_digraph_min_boundary_on_cycle(self):
-        d = GenericDigraph.bidirectional_cycle(6)
+        cells = digraph_profile(GenericDigraph.bidirectional_cycle(6))
         for n in range(1, 6):
-            mb, witness = digraph_profile(d)[n]
-            assert mb == 2
-            assert witness.popcount() == n
+            cell = cells[n]
+            assert cell.min_boundary == 2
+            assert cell.witness.popcount() == n
+            assert math.isnan(cell.bound) and math.isnan(cell.ratio)  # no m, no bound
 
 
 class TestCatalog:
@@ -283,12 +277,20 @@ class TestCatalog:
         digraph = [e for e in entries if not e.is_cayley][0]
         assert digraph.m == 2 and digraph.digraph.n == 6
 
-    def test_every_cayley_fixture_is_generating(self):
-        from relconv.cayley import is_generating
-
+    def test_every_cayley_fixture_is_generating(self, closure_oracle):
         for e in load_catalog():
             if e.is_cayley:
-                assert is_generating(e.group, e.s), e.name
+                assert closure_oracle(e.group, e.s), e.name
+
+    def test_six_cycle_cells_match_catalog_rows(self):
+        entry = [e for e in load_catalog() if not e.is_cayley][0]
+        assert entry.digraph == GenericDigraph.bidirectional_cycle(6) and entry.m == 2
+        rows = verify_catalog([entry])
+        cells = digraph_profile(GenericDigraph.bidirectional_cycle(6), m=2)
+        assert [(r["n"], r["min_boundary"], r["bound"], r["ratio"], r["witness"]) for r in rows] == [
+            (e.n, e.min_boundary, e.bound, e.ratio, e.witness.hex()) for e in cells
+        ]
+        assert [e.min_boundary for e in cells] == [0, 2, 2, 2, 2, 2, 0]
 
     def test_arc_list_past_cap_refused_before_search(self, tmp_path, monkeypatch):
         monkeypatch.setattr(isoperimetry, "_low_parts", _search_started)
