@@ -10,13 +10,12 @@ involutions).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .cayley import AbelianGroup, ConnectionSet, GenericDigraph
-from .isoperimetry import digraph_profile, profile
+from .isoperimetry import ProfileReport, digraph_profile, profile
 
 
 @dataclass
@@ -95,38 +94,15 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
     return entries
 
 
-def verify_catalog(entries: list[CatalogEntry]) -> list[dict]:
-    """Profile every catalog entry: one row per fixture and cardinality.
+def verify_catalog(entries: list[CatalogEntry]) -> list[ProfileReport]:
+    """One profile report per catalog entry, in catalog order.
 
-    Cayley entries use the exhaustive profile with m = the largest element
-    order of S (the sharpest valid exponent bound), which raises
-    RuntimeError on any bound violation.  Digraph entries are profiled
-    exhaustively too; when they carry an m the would-be bound is tabulated
-    for comparison, but since the abelian hypothesis is unmet, sub-bound
-    ratios there are expected.  Every row carries its fixture's measured
-    profile time as wall_ms: one search serves all cardinalities, so there
-    is no per-n time.
+    Cayley entries get profile's m (the largest element order of S) unless
+    they name one, and raise RuntimeError on a bound violation with
+    generating S.  Digraph entries are labelled with their name; an m they
+    carry tabulates the would-be bound, whose abelian hypothesis they do not meet.
     """
-    rows: list[dict] = []
-    for entry in entries:
-        t0 = time.perf_counter()
-        if entry.is_cayley:
-            report = profile(entry.group, entry.s, m_override=entry.m)
-            label, s_text, cells = report.group, report.connection_set, report.entries
-        else:
-            label, s_text, cells = entry.name, "arc-list", digraph_profile(entry.digraph, entry.m)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        for e in cells:
-            rows.append(
-                {
-                    "group": label,
-                    "S": s_text,
-                    "n": e.n,
-                    "min_boundary": e.min_boundary,
-                    "bound": e.bound,
-                    "ratio": e.ratio,
-                    "witness": e.witness.hex(),
-                    "wall_ms": wall_ms,
-                }
-            )
-    return rows
+    return [
+        profile(e.group, e.s, m_override=e.m) if e.is_cayley else digraph_profile(e.digraph, e.m, e.name)
+        for e in entries
+    ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -90,7 +91,11 @@ class ConnectionSet:
         if any(e < 0 or e >= group.order for e in elems):
             raise ValueError(f"connection-set element out of range for {group.describe()}")
         if 0 in elems:
-            warnings.warn("connection set contains the identity; it contributes no boundary edges")
+            # warn at the first caller outside this module: the class methods build through here
+            level, frame = 1, sys._getframe()
+            while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+                level, frame = level + 1, frame.f_back
+            warnings.warn("connection set contains the identity; it contributes no boundary edges", stacklevel=level)
         self.elements = tuple(elems)
 
     @classmethod

@@ -181,10 +181,7 @@ def _cmd_profile(args) -> int:
     s = ConnectionSet.from_text(group, args.s)
     report = profile(group, s, m_override=args.m)
     if args.out and args.format == "csv":
-        _write_rows_csv(args.out, [
-            {"group": report.group, "S": report.connection_set, **e.to_dict()}
-            for e in report.entries
-        ])
+        _write_rows_csv(args.out, report.rows())
     else:
         _emit(args, {"group": args.group, "s": args.s, "m": args.m}, report.to_dict())
     interior = [e.ratio for e in report.entries if 0 < e.n < report.order]
@@ -196,20 +193,23 @@ def _cmd_profile(args) -> int:
 
 
 def _write_rows_csv(path: str, rows: list[dict]) -> None:
+    """Write profile rows under their keys as header; csv spells a float as repr does."""
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
-        for row in rows:
-            w.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+        w.writerows(rows)
 
 
 def _cmd_verify_catalog(args) -> int:
     entries = cat.load_catalog(args.catalog)
-    rows = cat.verify_catalog(entries)
+    reports = cat.verify_catalog(entries)
+    rows = [row for report in reports for row in report.rows()]
     if args.out:
         _write_rows_csv(args.out, rows)
-    print(f"{len(entries)} catalog entries, {len(rows)} profile rows, 0 bound violation(s)")
-    return 0
+    # an arc list only tabulates the bound, whose hypothesis it does not meet
+    violations = sum(len(r.bound_violations()) for e, r in zip(entries, reports) if e.is_cayley)
+    print(f"{len(entries)} catalog entries, {len(rows)} profile rows, {violations} bound violation(s)")
+    return 1 if violations else 0
 
 
 def _cmd_counterexample(args) -> int:

@@ -81,10 +81,12 @@ class ProfileEntry:
 
 @dataclass
 class ProfileReport:
+    """The profile of one graph: a Cayley digraph of an abelian group, or an arc list."""
+
     group: str
     connection_set: str
     order: int
-    m: int
+    m: int | None
     hypothesis_met: bool
     entries: list[ProfileEntry]
     subsets_enumerated: int
@@ -93,6 +95,12 @@ class ProfileReport:
 
     def bound_violations(self) -> list[int]:
         return [e.n for e in self.entries if e.min_boundary < e.bound - BOUND_TOL]
+
+    def rows(self) -> list[dict]:
+        """One CSV row per cardinality, each with the search's wall_ms; ratio is inf where the bound is 0."""
+        return [{"group": self.group, "S": self.connection_set, "n": e.n, "min_boundary": e.min_boundary,
+                 "bound": e.bound, "ratio": e.ratio, "witness": e.witness.hex(), "wall_ms": self.wall_ms}
+                for e in self.entries]
 
     def to_dict(self) -> dict:
         return {
@@ -249,10 +257,28 @@ def _bound(order: int, m: int, n: int) -> float:
     return (order / m) * majorant(Fraction(n, order)).value
 
 
-def _entry(order: int, m: int | None, n: int, mb: int, witness: VertexSet) -> ProfileEntry:
-    """The profile cell of cardinality n; without an m there is no bound, and bound and ratio are nan."""
-    bound = _bound(order, m, n) if m else math.nan
-    return ProfileEntry(n, mb, witness, bound, math.inf if bound == 0 else mb / bound)
+def _report(group: str, connection_set: str, order: int, m: int | None, layers, cayley: bool) -> ProfileReport:
+    """Search the digraph that layers give (see _subset_minima) and report its profile.
+
+    A Cayley digraph of an abelian group (cayley) is searched over the sets
+    that hold the identity, which suffices as its boundary is translation
+    invariant, and it meets the bound's hypothesis iff S generates:
+    a nonempty proper A has boundary 0 iff A + S lies in A, that is, iff A is
+    a union of cosets of <S>, so S generates G iff every interior minimum is
+    positive.  Any other digraph is searched over all subsets and never meets
+    the hypothesis.  Without an m, bound and ratio are nan.
+    """
+    t0 = time.perf_counter()
+    entries = []
+    for n, (mb, bits) in enumerate(_subset_minima(order, layers, identity=cayley)):
+        bound = _bound(order, m, n) if m else math.nan
+        entries.append(ProfileEntry(n, mb, VertexSet(bits, order), bound, math.inf if bound == 0 else mb / bound))
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    generating = cayley and all(e.min_boundary for e in entries[1:-1])
+    # the nonempty proper subsets searched: those that hold the identity, or all
+    enumerated = 2 ** (order - 1) - 1 if cayley else 2**order - 2
+    return ProfileReport(group, connection_set, order, m, generating, entries,
+                         enumerated, 2**order - 2 - enumerated, wall_ms)
 
 
 def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None) -> ProfileReport:
@@ -267,31 +293,11 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     """
     order = group.order
     m = _exponent(group, s, m_override)
-
-    t0 = time.perf_counter()
-    # identity-containing sets suffice: the boundary is translation invariant
-    minima = _subset_minima(order, ((range(order), group.shift_table(e)) for e in s), identity=True)
-    entries = [_entry(order, m, n, mb, VertexSet(bits, order)) for n, (mb, bits) in enumerate(minima)]
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    # A nonempty proper A has boundary 0 iff A + S lies in A, that is, iff A is a
-    # union of cosets of <S>; so S generates G iff every interior minimum is positive.
-    generating = all(mb for mb, _ in minima[1:-1])
-    if not generating:
+    layers = ((range(order), group.shift_table(e)) for e in s)
+    report = _report(group.describe(), s.describe(), order, m, layers, cayley=True)
+    if not report.hypothesis_met:
         warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet", stacklevel=2)
-    # identity-containing proper subsets, against all nonempty proper subsets
-    enumerated = 2 ** (order - 1) - 1
-    report = ProfileReport(
-        group=group.describe(),
-        connection_set=s.describe(),
-        order=order,
-        m=m,
-        hypothesis_met=generating,
-        entries=entries,
-        subsets_enumerated=enumerated,
-        subsets_pruned=2**order - 2 - enumerated,
-        wall_ms=wall_ms,
-    )
-    if generating and report.bound_violations():
+    elif report.bound_violations():
         raise RuntimeError(
             f"bound violated on {group.describe()} with generating S={s.describe()}: "
             f"n in {report.bound_violations()}"
@@ -299,8 +305,8 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     return report
 
 
-def digraph_profile(d: GenericDigraph, m: int | None = None) -> list[ProfileEntry]:
-    """Profile cells of an explicit digraph for n = 0..d.n, built as profile builds its own.
+def digraph_profile(d: GenericDigraph, m: int | None = None, name: str = "digraph") -> ProfileReport:
+    """Profile report of an explicit digraph for n = 0..d.n, labelled name.
 
     Without an m, bound and ratio are nan.  The k-th arc leaving each vertex
     goes to layer k, so parallel arcs and unequal out-degrees are counted
@@ -314,8 +320,7 @@ def digraph_profile(d: GenericDigraph, m: int | None = None) -> list[ProfileEntr
             layers.append(([], []))
         layers[k][0].append(u)
         layers[k][1].append(v)
-    minima = _subset_minima(d.n, layers, identity=False)
-    return [_entry(d.n, m, n, mb, VertexSet(bits, d.n)) for n, (mb, bits) in enumerate(minima)]
+    return _report(name, "arc-list", d.n, m, layers, cayley=False)
 
 
 def six_cycle_counterexample(path_len: int = 1) -> tuple[int, float]:

@@ -52,7 +52,7 @@ def sup_estimates():
 
 @pytest.fixture(scope="module")
 def catalog_rows():
-    return verify_catalog(load_catalog())
+    return [row for report in verify_catalog(load_catalog()) for row in report.rows()]
 
 
 def test_a1_majorant_values_at_sixths():

@@ -150,6 +150,19 @@ class TestConnectionSet:
         with pytest.warns(UserWarning, match="identity"):
             ConnectionSet(g, [0, 1])
 
+    @pytest.mark.parametrize("build", [
+        lambda g: ConnectionSet(g, [0, 1]),
+        lambda g: ConnectionSet.from_coords(g, [(0,), (1,)]),
+        lambda g: ConnectionSet.from_text(g, "0,1"),
+    ], ids=["init", "from_coords", "from_text"])
+    def test_identity_warning_names_the_caller(self, build):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build(AbelianGroup([4]))
+        (w,) = caught
+        assert "identity" in str(w.message)
+        assert w.filename == __file__
+
     def test_deduplication(self):
         g = AbelianGroup([5])
         assert ConnectionSet(g, [2, 2, 1]).elements == (1, 2)

@@ -339,7 +339,7 @@ class TestReportEnvelope:
         assert main(["profile", "--group", "Z3xZ3", "--s", "basis", "--format", "csv",
                      "--seed", "17", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "group,S,n,min_boundary,witness,bound,ratio"
+        assert lines[0] == "group,S,n,min_boundary,bound,ratio,witness,wall_ms"
         assert len(lines) == 1 + 10
 
 
@@ -407,11 +407,33 @@ class TestVerifyCatalog:
         out = tmp_path / "res.csv"
         code, text = run(capsys, "verify-catalog", "--catalog", str(cat), "--out", str(out))
         assert code == 0
+        assert text.endswith(", 0 bound violation(s)\n")  # the arc list's sub-bound cells are not counted
         rows = list(csv.DictReader(out.open()))
         assert list(rows[0].keys()) == ["group", "S", "n", "min_boundary", "bound", "ratio", "witness", "wall_ms"]
         assert len(rows) == 7 + 7
         cycle_rows = [r for r in rows if r["group"] == "six-cycle"]
         assert float(cycle_rows[1]["ratio"]) < 1.0  # the bound genuinely fails here
+
+    def test_non_generating_fixture_counts_and_exits_one(self, capsys, tmp_path):
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps({"entries": [{"name": "Z8 (2)", "group": "Z8", "s": "(2)"}]}))
+        code, text = run(capsys, "verify-catalog", "--catalog", str(cat))
+        assert code == 1
+        # every interior cell of the two-coset graph sits below the bound
+        assert text == "1 catalog entries, 9 profile rows, 7 bound violation(s)\n"
+        assert main(["profile", "--group", "Z8", "--s", "2", "--out", str(tmp_path / "p.json")]) == 1
+        assert json.loads((tmp_path / "p.json").read_text())["bound_violations"] == list(range(1, 8))
+
+    def test_profile_csv_spells_rows_as_verify_catalog(self, capsys, tmp_path):
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps({"entries": [{"name": "Z2xZ6", "group": "Z2xZ6", "s": "basis"}]}))
+        one, two = tmp_path / "profile.csv", tmp_path / "catalog.csv"
+        assert main(["profile", "--group", "Z2xZ6", "--s", "basis", "--format", "csv", "--out", str(one)]) == 0
+        assert main(["verify-catalog", "--catalog", str(cat), "--out", str(two)]) == 0
+        a, b = (list(csv.reader(p.open())) for p in (one, two))
+        assert a[0] == b[0] == ["group", "S", "n", "min_boundary", "bound", "ratio", "witness", "wall_ms"]
+        assert [r[:-1] for r in a] == [r[:-1] for r in b]
+        assert a[1][5] == a[-1][5] == "inf"  # the bound is 0 at n = 0 and n = |G|
 
     def test_missing_catalog_is_config_error(self, capsys, tmp_path):
         assert run(capsys, "verify-catalog", "--catalog", str(tmp_path / "nope.json"))[0] == 2

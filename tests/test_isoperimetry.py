@@ -214,13 +214,31 @@ class TestKernel:
     )
     def test_arc_list_matches_brute_force(self, n, raw):
         d = GenericDigraph(n, tuple((u % n, v % n) for u, v in raw))
-        got = digraph_profile(d)
+        got = digraph_profile(d).entries
         for k in range(n + 1):
             sets = [VertexSet.from_indices(c, n) for c in itertools.combinations(range(n), k)]
             counts = [digraph_boundary(d, a) for a in sets]
             best = min(counts)
             # the first minimizer in lex order
             assert (got[k].n, got[k].min_boundary, got[k].witness) == (k, best, sets[counts.index(best)])
+
+    @pytest.mark.parametrize("gtext, stext", [
+        ("Z6", "(1)"), ("Z7", "(1),(3)"), ("Z8", "(2)"), ("Z2xZ4", "(1,1),(0,2)"),
+        ("Z3xZ3", "basis"), ("Z2xZ2xZ3", "(1,0,1),(0,1,2)"), ("Z4", "(0),(1)"),
+    ])
+    def test_arc_list_search_matches_identity_canonical_search(self, gtext, stext):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # S may hold the identity, or not generate
+            g, s = group_and_set(gtext, stext)
+            report = profile(g, s)
+        arcs = tuple((x, int(g.shift_table(e)[x])) for e in s for x in range(g.order))
+        arc_list = digraph_profile(GenericDigraph(g.order, arcs), m=report.m, name=gtext)
+        # by translation invariance some minimizer contains vertex 0, so the
+        # lex-first one does: the full search meets the same witnesses
+        assert arc_list.entries == report.entries
+        assert (arc_list.group, arc_list.connection_set, arc_list.m) == (gtext, "arc-list", report.m)
+        assert not arc_list.hypothesis_met
+        assert (arc_list.subsets_enumerated, arc_list.subsets_pruned) == (2**g.order - 2, 0)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -259,7 +277,7 @@ class TestCounterexample:
             six_cycle_counterexample(0)
 
     def test_digraph_min_boundary_on_cycle(self):
-        cells = digraph_profile(GenericDigraph.bidirectional_cycle(6))
+        cells = digraph_profile(GenericDigraph.bidirectional_cycle(6)).entries
         for n in range(1, 6):
             cell = cells[n]
             assert cell.min_boundary == 2
@@ -285,8 +303,9 @@ class TestCatalog:
     def test_six_cycle_cells_match_catalog_rows(self):
         entry = [e for e in load_catalog() if not e.is_cayley][0]
         assert entry.digraph == GenericDigraph.bidirectional_cycle(6) and entry.m == 2
-        rows = verify_catalog([entry])
-        cells = digraph_profile(GenericDigraph.bidirectional_cycle(6), m=2)
+        (report,) = verify_catalog([entry])
+        rows = report.rows()
+        cells = digraph_profile(GenericDigraph.bidirectional_cycle(6), m=2).entries
         assert [(r["n"], r["min_boundary"], r["bound"], r["ratio"], r["witness"]) for r in rows] == [
             (e.n, e.min_boundary, e.bound, e.ratio, e.witness.hex()) for e in cells
         ]
@@ -308,7 +327,7 @@ class TestCatalog:
             '{"name": "Z5", "group": "Z5", "s": "(1)"},'
             '{"name": "cube", "group": "Z2xZ2", "s": "basis"}]}'
         )
-        rows = verify_catalog(load_catalog(path))
+        rows = [row for report in verify_catalog(load_catalog(path)) for row in report.rows()]
         assert len(rows) == 6 + 5
         cube_rows = [r for r in rows if r["group"] == "Z2xZ2"]
         tight = [r for r in cube_rows if r["n"] == 2][0]
