@@ -20,6 +20,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def _warn_caller(message: str) -> None:
+    """Warn at the first frame outside this package: the line of the library's caller."""
+    level, frame = 1, sys._getframe()
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
+
+
 class AbelianGroup:
     """Direct product of cyclic groups Z_{n1} x ... x Z_{nr}, held as its factors: O(rank) state.
 
@@ -91,11 +99,7 @@ class ConnectionSet:
         if any(e < 0 or e >= group.order for e in elems):
             raise ValueError(f"connection-set element out of range for {group.describe()}")
         if 0 in elems:
-            # warn at the first caller outside this module: the class methods build through here
-            level, frame = 1, sys._getframe()
-            while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
-                level, frame = level + 1, frame.f_back
-            warnings.warn("connection set contains the identity; it contributes no boundary edges", stacklevel=level)
+            _warn_caller("connection set contains the identity; it contributes no boundary edges")
         self.elements = tuple(elems)
 
     @classmethod

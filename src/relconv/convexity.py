@@ -133,7 +133,7 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
 def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Violation], float]]:
     """Float scan rows with rhs = chord + defect(den, lam), den = c - a."""
     N = len(vals) - 1
-    rhs_row, _ = _triple_rows(N, defect, vals)
+    rhs_row = _triple_rows(N, defect, vals)
     for b in range(1, N):
         rhs = rhs_row(b)
         lhs = float(vals[b])

@@ -146,14 +146,6 @@ def parabola_grid(N: int, exact: bool = False) -> GridFunction:
     return GridFunction(N, 4.0 * x * (1.0 - x), label="parabola")
 
 
-# A row whose dirty blocks would read at least this share of its (a, c)
-# matrix is read whole instead: the whole row goes through views made once
-# per call, the blocks through fresh slices, and the two blocks read their
-# overlap twice.  Every value of a p = 2 sweep changes, so its rows all take
-# the whole-row path; the bench sup jobs time the same for shares 0.3 to 1.
-FULL_ROW_SHARE = 0.5
-
-
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration ran out of sweeps before the tolerance was met."""
 
@@ -185,13 +177,15 @@ def estimate_sup(
     decrease, so the iteration descends onto the unique discrete supremum.
     Stops when the largest pointwise decrease of a sweep drops below tol.
 
-    Each sweep after the first re-reads only the entries of row b whose
-    inputs may have changed since row b was last read: the rows 1 <= a < w,
-    g[w-1] being the last value this sweep has written, and the columns
-    b < c < last, g[last-1] the last value the previous sweep wrote.  No
-    entry ever increases and g[b] is at most every entry of row b when it
-    was last read, so the update, taken from the smaller of g[b] and those
-    entries (grid._triple_rows's dirty_min), is a full sweep's bit for bit.
+    Each sweep after the first re-reads row b only where its inputs may
+    have changed since row b was last read.  With g[w-1] the last value
+    this sweep has written and g[last-1] the last value the previous sweep
+    wrote: when last > b + 1 some column c > b changed, and the whole row
+    is read; otherwise, when w > 1, only its rows a < w are read (a row
+    prefix, see grid._triple_rows); otherwise the row is skipped.  No entry
+    ever increases, an unread entry keeps its bits, and g[b] is at most
+    every entry of row b as last read, so each update is a full sweep's bit
+    for bit.
 
     Raises ValueError unless 0 < p < 1024 (past that 2**p is not a finite
     float) and ConvergenceError (carrying the last iterate) if max_iters
@@ -217,7 +211,7 @@ def estimate_sup(
     g[0] = 0.0
     g[N] = 0.0
     spread = (np.arange(N + 1) / N) ** p
-    row, dirty_min = _triple_rows(N, lambda den, lam: spread[den], g)
+    row = _triple_rows(N, lambda den, lam: spread[den], g)
 
     iterations = 0
     max_dec = np.inf
@@ -226,7 +220,7 @@ def estimate_sup(
     triples_read = []
     # g[1:w] holds every value this sweep has written so far, g[1:last] every
     # value the previous sweep wrote (g[0] and g[N] never change); the first
-    # sweep reads every column
+    # sweep reads every row whole
     last = N + 1
     while iterations < max_iters:
         iterations += 1
@@ -235,16 +229,14 @@ def estimate_sup(
         read = 0
         start = perf_counter()
         for b in range(1, N):
-            width = N - b
-            dirty = (w - 1) * width
             if last > b + 1:
-                dirty += b * (last - b - 1)
-            if dirty >= FULL_ROW_SHARE * b * width:
                 m = row(b).min()
-                read += b * width
+                read += b * (N - b)
+            elif w > 1:
+                m = row(b, w).min()
+                read += w * (N - b)
             else:
-                m = dirty_min(b, g[b], 1, w, b + 1, last)
-                read += dirty
+                continue
             if m < g[b]:
                 max_dec = max(max_dec, g[b] - m)
                 g[b] = m

@@ -58,7 +58,7 @@ class GridFunction:
         return f"<GridFunction {tag!r} N={self.N} ({mode})>"
 
 
-def _triple_rows(N: int, defect: Callable, v: np.ndarray) -> tuple[Callable, Callable]:
+def _triple_rows(N: int, defect: Callable, v: np.ndarray) -> Callable:
     """Right-hand sides of the on-grid triples a < b < c, from tables built once.
 
     A triple depends on its middle index b only through the offsets
@@ -73,22 +73,17 @@ def _triple_rows(N: int, defect: Callable, v: np.ndarray) -> tuple[Callable, Cal
     half the table and its temporaries stay block-sized.  Within a block
     defect sees den capped at N, so it may index arrays of length N+1.
 
-    Returns (row, dirty_min).  row(b), for 1 <= b <= N-1, is the (a, c)
-    matrix
+    Returns row.  row(b), for 1 <= b <= N-1, is the (a, c) matrix
 
         rhs = lam*v[a] + (1 - lam)*v[c] + defect
 
     evaluated in that order, through views of the tables, of v and of the
-    work buffers made once here; the next call overwrites it.
-    dirty_min(b, bound, a0, a1, c0, c1) evaluates only rows a0..a1-1 and
-    columns c0..c1-1 of that matrix (a1 <= b < c0, c1 <= N+1; either range
-    may be empty), entry for entry the same floats, and returns the smaller
-    of bound and their minimum.  That is min(bound, row(b).min()) whenever
-    bound is at most every other entry, for instance when bound was the row
-    minimum before v decreased only in v[a0:a1] and v[c0:c1]: lam and
-    1 - lam are >= 0 and rounding is monotone, so no entry increases, and
-    an entry whose v[a] and v[c] did not change keeps its bits.  Both read
-    v when called, so a caller writing v[b] sees the update in row b + 1.
+    work buffers; the next call overwrites it.  row(b, rows), 1 <= rows <= b,
+    evaluates only its rows a < rows, entry for entry the same floats, and
+    returns that prefix.  Row b's views are made at its first call and kept,
+    so a caller that stops early pays only for the rows it read.  Every
+    call reads v when made, so a caller writing v[b] sees the update in row
+    b + 1.
     """
     i = np.arange(N - 1, 0, -1)[:, None]
     j = np.arange(1, N)[None, :]
@@ -106,42 +101,24 @@ def _triple_rows(N: int, defect: Callable, v: np.ndarray) -> tuple[Callable, Cal
     size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
     buf = np.empty(size)
     tmp = np.empty(size)
-    views = [()]  # views[b]: row b's views, made once per call
-    for b in range(1, N):
-        sl = np.s_[N - 1 - b : N - 1, : N - b]
-        shape = (b, N - b)
-        views.append((lam[sl], rest[sl], extra[sl], v[:b, None], v[None, b + 1 :],
-                      buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape)))
+    views: list = [None] * N  # views[b]: row b's views, made at its first call
 
-    def row(b: int) -> np.ndarray:
+    def row(b: int, rows: int | None = None) -> np.ndarray:
+        if views[b] is None:
+            sl = np.s_[N - 1 - b : N - 1, : N - b]
+            shape = (b, N - b)
+            views[b] = (lam[sl], rest[sl], extra[sl], v[:b, None], v[None, b + 1 :],
+                        buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape))
         lb, rb, xb, va, vc, rhs, part = views[b]
+        if rows is not None:
+            lb, rb, xb, va, rhs, part = (x[:rows] for x in (lb, rb, xb, va, rhs, part))
         np.multiply(lb, va, out=rhs)
         np.multiply(rb, vc, out=part)
         rhs += part
         rhs += xb
         return rhs
 
-    def block(b: int, a0: int, a1: int, c0: int, c1: int) -> np.ndarray:
-        lb, rb, xb, va, vc = views[b][:5]
-        shape = (a1 - a0, c1 - c0)
-        rhs = buf[: shape[0] * shape[1]].reshape(shape)
-        part = tmp[: shape[0] * shape[1]].reshape(shape)
-        sl = np.s_[a0:a1, c0 - b - 1 : c1 - b - 1]
-        np.multiply(lb[sl], va[a0:a1], out=rhs)
-        np.multiply(rb[sl], vc[:, sl[1]], out=part)
-        rhs += part
-        rhs += xb[sl]
-        return rhs
-
-    def dirty_min(b: int, bound: float, a0: int, a1: int, c0: int, c1: int) -> float:
-        m = bound
-        if a0 < a1:
-            m = min(m, block(b, a0, a1, b + 1, N + 1).min())
-        if c0 < c1:
-            m = min(m, block(b, 0, b, c0, c1).min())
-        return m
-
-    return row, dirty_min
+    return row
 
 
 def write_csv(f: GridFunction, path: str | Path) -> None:

@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -47,6 +46,7 @@ from .cayley import (
     ConnectionSet,
     GenericDigraph,
     VertexSet,
+    _warn_caller,
     digraph_boundary,
     edge_boundary,
     max_order,
@@ -296,7 +296,7 @@ def profile(group: AbelianGroup, s: ConnectionSet, m_override: int | None = None
     layers = ((range(order), group.shift_table(e)) for e in s)
     report = _report(group.describe(), s.describe(), order, m, layers, cayley=True)
     if not report.hypothesis_met:
-        warnings.warn(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet", stacklevel=2)
+        _warn_caller(f"S={s.describe()} does not generate {group.describe()}; bound hypothesis unmet")
     elif report.bound_violations():
         raise RuntimeError(
             f"bound violated on {group.describe()} with generating S={s.describe()}: "

@@ -231,63 +231,79 @@ class TestDirtySweeps:
             assert (stats["iterations"], stats["decreases"]) == (k, decreases[:k])
 
     @pytest.mark.parametrize("N", [9, 40, 131])
-    def test_dirty_min_equals_full_row_min(self, N):
-        # A decrease confined to rows a0..a1-1 and columns c0..c1-1 of row b:
-        # the stale minimum and the minimum over those entries give the new
-        # full-row minimum exactly.  Empty ranges are drawn too.
+    def test_row_prefix_equals_whole_row_prefix(self, N):
+        # Rows are visited in random order and first called with a random
+        # prefix, so views are built out of order and by either form of call.
         rng = np.random.default_rng(N)
         v = np.empty(N + 1)
         spread = (np.arange(N + 1) / N) ** 1.5
-        row, dirty_min = _triple_rows(N, lambda den, lam: spread[den], v)
-        moved = 0
-        for _ in range(300):
+        row = _triple_rows(N, lambda den, lam: spread[den], v)
+        for b in rng.permutation(np.arange(1, N)).tolist():
             v[:] = rng.random(N + 1)
-            b = int(rng.integers(1, N))
-            a0, a1 = sorted(rng.integers(0, b + 1, size=2).tolist())
-            c0, c1 = sorted(rng.integers(b + 1, N + 2, size=2).tolist())
-            stale = row(b).min()
-            for lo, hi in ((a0, a1), (c0, c1)):
-                hit = rng.integers(lo, hi, size=3) if hi > lo else []
-                v[hit] *= rng.uniform(0.0, 0.5, size=len(hit))
-            want = row(b).min()
-            assert dirty_min(b, stale, a0, a1, c0, c1) == want
-            moved += bool(want < stale)
-        assert moved > 100
+            counts = rng.permutation(np.arange(1, b + 1)).tolist()
+            first = row(b, counts[0]).copy()
+            whole = row(b).copy()
+            assert whole.shape == (b, N - b)
+            assert first.tobytes() == whole[: counts[0]].tobytes()
+            for rows in counts[1:]:
+                assert row(b, rows).tobytes() == whole[:rows].tobytes()
 
     @pytest.mark.parametrize("p, N", [(1, 64), (1.5, 97)])
     def test_blocks_cover_every_changed_input(self, monkeypatch, p, N):
-        # Each sweep reads every row once, whole or through dirty_min, whose
-        # ranges must hold every value of g that changed since the row was
-        # last read (g[b] itself is no input of row b).
+        # Each sweep visits every row once: it reads the whole row, reads a
+        # prefix of rows a < rows, or skips it.  The rows read must hold every
+        # value of g that changed since the row was last read (g[b] itself is
+        # no input of row b), and a skipped row must have no changed input.
         calls = []
 
         def spy(N, defect, v):
-            row, dirty_min = _triple_rows(N, defect, v)
+            row = _triple_rows(N, defect, v)
 
-            def row_spy(b):
-                calls.append((b, v.copy(), None))
-                return row(b)
+            def row_spy(b, rows=None):
+                calls.append((b, v.copy(), rows))
+                return row(b, rows)
 
-            def dirty_min_spy(b, bound, *ranges):
-                calls.append((b, v.copy(), ranges))
-                return dirty_min(b, bound, *ranges)
-
-            return row_spy, dirty_min_spy
+            return row_spy
 
         monkeypatch.setattr(extremal, "_triple_rows", spy)
         stats: dict = {}
-        estimate_sup(p, N, stats=stats)
-        assert [b for b, _, _ in calls] == list(range(1, N)) * stats["iterations"]
+        final = estimate_sup(p, N, stats=stats).floats()
+        # A sweep reads row 1 whole when its predecessor wrote past g[1], and
+        # else reads nothing, writes nothing and is the last: so each sweep
+        # but perhaps the last starts with row 1.
+        sweeps: list[dict] = []
+        for b, v, rows in calls:
+            if b == 1:
+                sweeps.append({})
+            sweeps[-1][b] = (v, rows)
+        assert stats["iterations"] - 1 <= len(sweeps) <= stats["iterations"]
+        assert [rows for _, rows in sweeps[0].values()] == [None] * (N - 1)
+        sweeps += [{}] * (stats["iterations"] - len(sweeps))
+
         last_read: dict = {}
-        blocks = 0
-        for b, v, ranges in calls:
-            if ranges is not None:
-                a0, a1, c0, c1 = ranges
-                for i in np.flatnonzero(v != last_read[b]).tolist():
-                    assert i == b or a0 <= i < a1 or c0 <= i < c1, (b, i, ranges)
-                blocks += 1
-            last_read[b] = v
-        assert blocks > N
+
+        def changed(b, v):
+            return [i for i in np.flatnonzero(v != last_read[b]).tolist() if i != b]
+
+        skipped: list[int] = []
+        prefixes = skips = 0
+        for sweep in sweeps:
+            for b in range(1, N):
+                if b not in sweep:
+                    skipped.append(b)
+                    continue
+                # a skip writes nothing, so a skipped row saw the v of the next read
+                v, rows = sweep[b]
+                assert all(changed(s, v) == [] for s in skipped), skipped
+                skips += len(skipped)
+                skipped = []
+                if rows is not None:
+                    assert all(i < rows for i in changed(b, v)), (b, rows, changed(b, v))
+                    prefixes += 1
+                last_read[b] = v
+        assert all(changed(s, final) == [] for s in skipped), skipped
+        skips += len(skipped)
+        assert prefixes and skips
 
     @pytest.mark.parametrize("p, N", [(1, 128), (1.5, 64), (2, 32)])
     def test_triples_read(self, p, N):

@@ -66,7 +66,7 @@ def test_triple_rows_match_per_row_construction(N):
     # N > 256 fills the tables in more than one block of rows.
     v = np.random.default_rng(N).standard_normal(N + 1)
     spread = (np.arange(N + 1) / N) ** 1.5
-    row, _ = _triple_rows(N, lambda den, lam: spread[den] * lam, v)
+    row = _triple_rows(N, lambda den, lam: spread[den] * lam, v)
     for b in range(1, N):
         a = np.arange(b)[:, None]
         c = np.arange(b + 1, N + 1)[None, :]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relconv import isoperimetry
-from relconv.catalog import load_catalog, verify_catalog
+from relconv.catalog import CatalogEntry, load_catalog, verify_catalog
 from relconv.cayley import (
     AbelianGroup,
     ConnectionSet,
@@ -69,6 +69,12 @@ class TestMinBoundary:
         with pytest.warns(UserWarning, match="does not generate") as record:
             profile(g, s)
         assert record[0].filename == __file__  # the caller's line, not the library's
+
+    def test_nongenerating_warning_through_catalog_names_the_caller(self):
+        g, s = group_and_set("Z8", "(2)")
+        with pytest.warns(UserWarning, match="does not generate") as record:
+            verify_catalog([CatalogEntry("Z8 (2)", group=g, s=s)])
+        assert record[0].filename == __file__
 
     def test_exhaustive_oracle_small_cases(self):
         cases = [("Z6", "(1)"), ("Z2xZ4", "basis"), ("Z3xZ3", "(1,0),(1,1)"), ("Z12", "(3),(4)")]
