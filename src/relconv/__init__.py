@@ -46,6 +46,7 @@ from .extremal import (
     parabola,
     parabola_grid,
     rescale_majorant,
+    sup_closed_form,
 )
 from .grid import GridFunction, read_csv, write_csv
 from .isoperimetry import (

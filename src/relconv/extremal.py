@@ -10,7 +10,7 @@ evaluation reduces to locating d(x) among the (exactly computed) branch
 points.  The module also provides the critical parabola 4x(1-x), affine
 rescaling of the majorant to an arbitrary interval, and a grid fixed-point
 estimator for the pointwise supremum of the generalized class whose relaxed
-convexity defect is |x2 - x1|^p.
+convexity defect is |x2 - x1|^p, with that supremum's closed form for p >= 2.
 """
 
 from __future__ import annotations
@@ -146,6 +146,21 @@ def parabola_grid(N: int, exact: bool = False) -> GridFunction:
     return GridFunction(N, 4.0 * x * (1.0 - x), label="parabola")
 
 
+def sup_closed_form(p: float, N: int) -> GridFunction:
+    """The scaled parabola q[b] = (2/N)**p * b*(N - b) = (2/N)**(p-2) * 4x(1-x).
+
+    For p >= 2 this is the discrete supremum that estimate_sup computes:
+    q is an upper bound, because the adjacent triples (b-1, b, b+1) alone
+    force g <= q (q meets each with equality, and the discrete maximum
+    principle does the rest); and q is a member, because a triple of span
+    s = (c-a)/N and weight lam has gap (2/N)**(p-2) * 4lam(1-lam)s**2 <= s**p,
+    since s >= 2/N.  For p < 2 the last step fails at s = 1, and q is no
+    member.  The integer part is divided once, so p = 2 is correctly rounded.
+    """
+    b = np.arange(N + 1)
+    return GridFunction(N, (4 * b * (N - b)) / (N * N) * (2 / N) ** (p - 2), label=f"sup-closed-form[p={p}]")
+
+
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration ran out of sweeps before the tolerance was met."""
 
@@ -170,12 +185,17 @@ def estimate_sup(
 
         g[b] <= lam*g[a] + (1-lam)*g[c] + ((c-a)/N)**p,
 
-    by downward Gauss-Seidel sweeps from the constant upper bound (1 for
-    p = 1, else max(1, 2**p); substituting x1 = 1, x2 = 0 shows members of
-    the class never exceed the defect at full spread).  Sweeps visit b in
-    ascending order and minimize over all (a, c) pairs; updates only ever
-    decrease, so the iteration descends onto the unique discrete supremum.
-    Stops when the largest pointwise decrease of a sweep drops below tol.
+    by downward Gauss-Seidel sweeps from an upper bound.  For p >= 2 the
+    start is the supremum itself, sup_closed_form(p, N); the first sweep
+    certifies it as a fixed point, moving no value by more than rounding,
+    so a converged run takes one sweep.  For p < 2 the start is the
+    constant 1 for p = 1, else 2**p (substituting x1 = 1, x2 = 0 shows
+    members of the class never exceed the defect at full spread).  Sweeps
+    visit b in ascending order and minimize over all (a, c) pairs; updates
+    only ever decrease, so the iteration descends onto the unique discrete
+    supremum.  Stops when the largest pointwise decrease of a sweep drops
+    below tol: tol bounds that last decrease, not the distance to the
+    supremum, which is larger where the sweeps contract slowly.
 
     Each sweep after the first re-reads row b only where its inputs may
     have changed since row b was last read.  With g[w-1] the last value
@@ -188,7 +208,8 @@ def estimate_sup(
     for bit.
 
     Raises ValueError unless 0 < p < 1024 (past that 2**p is not a finite
-    float) and ConvergenceError (carrying the last iterate) if max_iters
+    float; the bound is kept for every p, although only p < 2 starts from
+    2**p) and ConvergenceError (carrying the last iterate) if max_iters
     sweeps do not reach tol.  Mutates `stats`, when given, with the sweep
     count `iterations`, the triples one sweep visits `triples`, the (a, c)
     entries each sweep actually evaluated `triples_read`, the per-sweep
@@ -207,9 +228,12 @@ def estimate_sup(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
-    g = np.full(N + 1, 1.0 if p == 1 else max(1.0, 2.0**p))
-    g[0] = 0.0
-    g[N] = 0.0
+    if p >= 2:
+        g = sup_closed_form(p, N).floats()
+    else:
+        g = np.full(N + 1, 1.0 if p == 1 else 2.0**p)
+        g[0] = 0.0
+        g[N] = 0.0
     spread = (np.arange(N + 1) / N) ** p
     row = _triple_rows(N, lambda den, lam: spread[den], g)
 

@@ -98,6 +98,15 @@ class TestEstimateSup:
         assert code == 2
         assert lines == [f"error: defect exponent p must be < 1024 for a finite start bound 2**p, got {float(p)}"]
 
+    @pytest.mark.parametrize("p, n", [("2", "203"), ("3", "32"), ("1023.5", "8")])
+    def test_p2_and_above_converge_in_one_sweep(self, capsys, tmp_path, p, n):
+        # --p 3 --n 32 used to exit 1 after 1000 sweeps from the bound 2**p
+        out = tmp_path / "sup.json"
+        code, _ = run(capsys, "estimate-sup", "--p", p, "--n", n, "--out", str(out))
+        assert code == 0
+        r = json.loads(out.read_text())
+        assert r["converged"] is True and r["iterations"] == 1
+
     def test_json_report_when_not_converged(self, capsys, tmp_path):
         out = tmp_path / "sup.json"
         code, _ = run(capsys, "estimate-sup", "--p", "1", "--n", "32", "--max-iters", "1", "--out", str(out))

@@ -16,6 +16,7 @@ from relconv.extremal import (
     parabola,
     parabola_grid,
     rescale_majorant,
+    sup_closed_form,
 )
 from relconv.convexity import check_almost_convex
 from relconv.grid import _triple_rows
@@ -159,14 +160,30 @@ class TestRescale:
             rescale_majorant(0, 1, 1, 1.5)
 
 
+def closed_form(p: float, N: int) -> np.ndarray:
+    """q[b] = (2/N)**p * b*(N - b), each 4b(N-b)/N**2 rounded once from its Fraction."""
+    return np.array([float(Fraction(4 * b * (N - b), N * N)) * (2 / N) ** (p - 2) for b in range(N + 1)])
+
+
+def constant_start(p: float, N: int) -> np.ndarray:
+    """The constant upper bound 1 (p = 1) or max(1, 2**p), zero at both ends."""
+    g = np.full(N + 1, 1.0 if p == 1 else max(1.0, 2.0**p))
+    g[0] = g[N] = 0.0
+    return g
+
+
+def sup_start(p: float, N: int) -> np.ndarray:
+    """Where estimate_sup starts: the closed form for p >= 2, else the constant bound."""
+    return closed_form(p, N) if p >= 2 else constant_start(p, N)
+
+
 def scalar_sup_sweeps(p: float, N: int, tol: float, max_iters: int) -> tuple[np.ndarray, int, list[float]]:
     """Slow oracle for estimate_sup: the Gauss-Seidel sweeps one triple at a time.
 
     Same start, same spread table and the same expression order per triple,
     rhs = lam*g[a] + (1 - lam)*g[c] + spread[c - a], so every float matches.
     """
-    g = [1.0 if p == 1 else max(1.0, 2.0**p)] * (N + 1)
-    g[0] = g[N] = 0.0
+    g = sup_start(p, N).tolist()
     spread = [float(s) for s in (np.arange(N + 1) / N) ** p]
     decreases: list[float] = []
     while len(decreases) < max_iters:
@@ -186,16 +203,16 @@ def scalar_sup_sweeps(p: float, N: int, tol: float, max_iters: int) -> tuple[np.
     return np.array(g), len(decreases), decreases
 
 
-def full_row_sweeps(p: float, N: int, tol: float) -> tuple[list[np.ndarray], list[float]]:
+def full_row_sweeps(p: float, N: int, tol: float, start: np.ndarray | None = None) -> tuple[list[np.ndarray], list[float]]:
     """Oracle for the dirty-range sweeps: every sweep reads every (a, c) entry.
 
     Each row's matrix is built afresh from index arrays, with the kernel's
     expression order, rhs = lam*g[a] + (1 - lam)*g[c] + spread[c - a], so
-    every float matches.  Returns the iterate after each sweep and the
-    per-sweep largest decreases.
+    every float matches.  Starts from `start`, by default estimate_sup's
+    start.  Returns the iterate after each sweep and the per-sweep largest
+    decreases.
     """
-    g = np.full(N + 1, 1.0 if p == 1 else max(1.0, 2.0**p))
-    g[0] = g[N] = 0.0
+    g = sup_start(p, N) if start is None else start.copy()
     spread = (np.arange(N + 1) / N) ** p
     iterates: list[np.ndarray] = []
     decreases: list[float] = []
@@ -215,7 +232,9 @@ def full_row_sweeps(p: float, N: int, tol: float) -> tuple[list[np.ndarray], lis
 
 
 class TestDirtySweeps:
-    @pytest.mark.parametrize("p", [1, 1.5, 2])
+    # p >= 2 starts at the fixed point and takes one sweep, so p = 1.75 is the
+    # third exponent whose sweeps exercise the dirty-range reads
+    @pytest.mark.parametrize("p", [1, 1.5, 1.75])
     @pytest.mark.parametrize("N", [48, 97, 160, 255])
     def test_match_full_row_sweeps_bit_for_bit(self, N, p):
         iterates, decreases = full_row_sweeps(p, N, 1e-9)
@@ -407,6 +426,59 @@ class TestEstimateSup:
     def test_largest_exponent_below_the_float_range(self):
         g = estimate_sup(1023.5, 8)
         assert np.all(g.floats() >= 0) and g[0] == g[8] == 0.0
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 4, 1023.5])
+    @pytest.mark.parametrize("N", [2, 3, 7, 16, 97])
+    def test_values(self, N, p):
+        q = sup_closed_form(p, N)
+        assert q.N == N and not q.is_exact
+        assert q.floats().tobytes() == closed_form(p, N).tobytes()
+
+    @pytest.mark.parametrize("N", range(2, 25))
+    def test_exact_sup_at_p2(self, N):
+        # q = 4b(N-b)/N**2 meets every adjacent triple with equality and
+        # violates no triple, in Fractions; its floats are correctly rounded
+        q = [Fraction(4 * b * (N - b), N * N) for b in range(N + 1)]
+        assert sup_closed_form(2, N).floats().tolist() == [float(v) for v in q]
+        for a in range(N - 1):
+            for c in range(a + 2, N + 1):
+                for b in range(a + 1, c):
+                    lam = Fraction(c - b, c - a)
+                    rhs = lam * q[a] + (1 - lam) * q[c] + Fraction(c - a, N) ** 2
+                    assert q[b] == rhs if c - a == 2 else q[b] <= rhs, (a, b, c)
+
+    def test_no_member_below_p2(self):
+        # at p = 1.5 the span-1 triples fail: why only p >= 2 starts at q
+        assert check_almost_convex(sup_closed_form(1.5, 32), 1, 1.5)
+
+
+class TestClosedFormStart:
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 4])
+    @pytest.mark.parametrize("N", [2, 16, 97, 255])
+    def test_one_sweep_onto_the_closed_form(self, N, p):
+        stats: dict = {}
+        g = estimate_sup(p, N, stats=stats).floats()
+        assert stats["iterations"] == 1 and stats["converged"]
+        assert np.abs(g - closed_form(p, N)).max() <= 1e-15
+
+    @pytest.mark.parametrize("N", [48, 97, 160])
+    def test_cold_start_lands_on_it_at_p2(self, N):
+        # the old constant start 2**p descends onto the same sup; at the
+        # default tol its sweeps stop up to 3.7e-11 short (N = 97), hence 1e-11
+        iterates, _ = full_row_sweeps(2, N, 1e-11, start=constant_start(2, N))
+        g = estimate_sup(2, N).floats()
+        assert np.abs(g - iterates[-1]).max() <= 3e-12
+        assert np.abs(g - closed_form(2, N)).max() <= 1e-15
+
+    @pytest.mark.parametrize("p", [2.5, 3, 4])
+    @pytest.mark.parametrize("N", [5, 8, 16])
+    def test_cold_start_lands_on_it_past_p2(self, N, p):
+        # here the cold sweeps contract slowly (600 sweeps at N = 16), and
+        # their last decrease 1e-12 leaves them up to 2.5e-11 short
+        iterates, _ = full_row_sweeps(p, N, 1e-12, start=constant_start(p, N))
+        assert np.abs(estimate_sup(p, N).floats() - iterates[-1]).max() <= 1e-9
 
 
 def test_parabola_grid_matches_pointwise():
