@@ -18,7 +18,6 @@ from .cayley import (
     edge_boundary,
     element_order,
     max_order,
-    undirected_cut,
 )
 from .catalog import CatalogEntry, load_catalog, verify_catalog
 from .convexity import (
@@ -54,7 +53,6 @@ from .isoperimetry import (
     ProfileReport,
     boundary_lower_bound,
     digraph_profile,
-    min_boundary_unrestricted,
     profile,
     six_cycle_counterexample,
 )

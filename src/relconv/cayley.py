@@ -165,18 +165,8 @@ class VertexSet:
     def indices(self) -> list[int]:
         return [i for i in range(self.size) if self.bits >> i & 1]
 
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
     def contains(self, i: int) -> bool:
         return bool(self.bits >> i & 1)
-
-    def translate(self, group: AbelianGroup, g: int) -> "VertexSet":
-        tab = group.shift_table(g)
-        bits = 0
-        for i in self.indices():
-            bits |= 1 << int(tab[i])
-        return VertexSet(bits, self.size)
 
     def hex(self) -> str:
         return f"0x{self.bits:x}"
@@ -232,23 +222,3 @@ def digraph_boundary(d: GenericDigraph, a: VertexSet) -> int:
     if a.size != d.n:
         raise ValueError(f"vertex set size {a.size} != digraph order {d.n}")
     return sum(1 for u, v in d.arcs if a.contains(u) and not a.contains(v))
-
-
-def undirected_cut(group: AbelianGroup, s: ConnectionSet, a: VertexSet) -> int:
-    """Cut size of A in the undirected Cayley graph on S union -S.
-
-    Independent of edge_boundary: enumerates unordered adjacent pairs and
-    counts those split by A.  Each such edge corresponds to exactly one
-    directed departure under the symmetrized connection set.
-    """
-    if a.size != group.order:
-        raise ValueError(f"vertex set size {a.size} != group order {group.order}")
-    sym = set(s.elements) | {group.neg(e) for e in s}
-    sym.discard(0)
-    edges = set()
-    for x in range(group.order):
-        for e in sym:
-            y = group.add(x, e)
-            if x != y:
-                edges.add((min(x, y), max(x, y)))
-    return sum(1 for x, y in edges if a.contains(x) != a.contains(y))

@@ -138,10 +138,8 @@ def majorant_grid(N: int) -> GridFunction:
     return GridFunction(N, majorant_values(np.arange(N + 1) / N), label="majorant")
 
 
-def parabola_grid(N: int, exact: bool = False) -> GridFunction:
+def parabola_grid(N: int) -> GridFunction:
     """Restriction of 4x(1-x) to the uniform grid."""
-    if exact:
-        return GridFunction(N, [parabola(Fraction(i, N)) for i in range(N + 1)], label="parabola")
     x = np.arange(N + 1) / N
     return GridFunction(N, 4.0 * x * (1.0 - x), label="parabola")
 

@@ -9,6 +9,7 @@ floating-point and exact arithmetic based on which one they receive.
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +18,16 @@ from typing import Sequence
 import numpy as np
 
 
+def _float(v) -> float:
+    """float(v), or inf for an exact value past the float range, where float() raises."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 class GridFunction:
-    """Values of a real function sampled at x = i/N for 0 <= i <= N; floats must be finite."""
+    """Values of a real function sampled at x = i/N for 0 <= i <= N; each value's float must be finite."""
 
     __slots__ = ("N", "values", "label")
 
@@ -33,9 +42,10 @@ class GridFunction:
         elif all(isinstance(v, (Fraction, int)) for v in values):
             self.values = [Fraction(v) for v in values]
         else:
-            self.values = np.asarray(values, dtype=float)
-        if not self.is_exact and not np.isfinite(self.values).all():
-            raise ValueError(f"grid value at index {int(np.argmin(np.isfinite(self.values)))} is not finite")
+            self.values = np.array([_float(v) for v in values])
+        finite = np.isfinite([_float(v) for v in self.values] if self.is_exact else self.values)
+        if not finite.all():
+            raise ValueError(f"grid value at index {int(np.argmin(finite))} is not finite")
         self.label = label
 
     @property
@@ -154,9 +164,5 @@ def read_csv(path: str | Path) -> GridFunction:
                 rows.append((int(row[0]), row[2].strip()))
     if not rows or [i for i, _ in rows] != list(range(len(rows))):
         raise ValueError("CSV rows must enumerate grid indices 0..N in order")
-    exact = all("/" in v for _, v in rows)
-    if exact:
-        values: Sequence = [Fraction(v) for _, v in rows]
-    else:
-        values = np.array([float(Fraction(v)) if "/" in v else float(v) for _, v in rows])
+    values = [Fraction(v) if "/" in v else float(v) for _, v in rows]
     return GridFunction(len(rows) - 1, values, label=str(path))

@@ -32,7 +32,6 @@ kernel refuses graphs of either kind past ORDER_CAP vertices.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -48,7 +47,6 @@ from .cayley import (
     VertexSet,
     _warn_caller,
     digraph_boundary,
-    edge_boundary,
     max_order,
 )
 from .extremal import majorant
@@ -206,24 +204,6 @@ def _subset_minima(order: int, layers: Iterable[tuple[Sequence, Sequence]], iden
         bits = (packed & full) ^ full
         result.append((packed >> order, int(f"{bits:0{order}b}"[::-1], 2) if order else 0))
     return result
-
-
-def min_boundary_unrestricted(group: AbelianGroup, s: ConnectionSet, n: int) -> tuple[int, VertexSet]:
-    """Slow oracle: every n-subset in lex order, each counted by the naive double loop.
-
-    Shares no code with the bit-parallel kernel; the first minimum met is the
-    lex-first witness.
-    """
-    order = group.order
-    if not 0 <= n <= order:
-        raise ValueError(f"cardinality {n} out of range for group order {order}")
-    best = None
-    for combo in itertools.combinations(range(order), n):
-        a = VertexSet.from_indices(combo, order)
-        b = edge_boundary(group, s, a)
-        if best is None or b < best[0]:
-            best = (b, a)
-    return best
 
 
 def boundary_lower_bound(

@@ -1,4 +1,17 @@
+"""Slow oracles that share no code with the library's fast paths.
+
+Tests import them as plain functions (`from conftest import ...`), so
+hypothesis tests can call them without a function-scoped fixture.
+"""
+
+import itertools
+from fractions import Fraction
+
 import pytest
+
+from relconv.cayley import AbelianGroup, ConnectionSet, VertexSet, edge_boundary
+from relconv.extremal import parabola
+from relconv.grid import GridFunction
 
 
 def _closure_generates(g, s) -> bool:
@@ -18,3 +31,49 @@ def _closure_generates(g, s) -> bool:
 def closure_oracle():
     """The independent oracle for whether a connection set generates its group."""
     return _closure_generates
+
+
+def min_boundary_unrestricted(group: AbelianGroup, s: ConnectionSet, n: int) -> tuple[int, VertexSet]:
+    """Every n-subset in lex order, each counted by the naive double loop.
+
+    Shares no code with the bit-parallel kernel; the first minimum met is the
+    lex-first witness.
+    """
+    order = group.order
+    if not 0 <= n <= order:
+        raise ValueError(f"cardinality {n} out of range for group order {order}")
+    best = None
+    for combo in itertools.combinations(range(order), n):
+        a = VertexSet.from_indices(combo, order)
+        b = edge_boundary(group, s, a)
+        if best is None or b < best[0]:
+            best = (b, a)
+    return best
+
+
+def undirected_cut(group: AbelianGroup, s: ConnectionSet, a: VertexSet) -> int:
+    """Cut size of A in the undirected Cayley graph on S union -S.
+
+    Independent of edge_boundary: enumerates unordered adjacent pairs and
+    counts those split by A.  Each such edge corresponds to exactly one
+    directed departure under the symmetrized connection set.
+    """
+    sym = set(s.elements) | {group.neg(e) for e in s}
+    sym.discard(0)
+    edges = set()
+    for x in range(group.order):
+        for e in sym:
+            y = group.add(x, e)
+            if x != y:
+                edges.add((min(x, y), max(x, y)))
+    return sum(1 for x, y in edges if a.contains(x) != a.contains(y))
+
+
+def translate(group: AbelianGroup, a: VertexSet, g: int) -> VertexSet:
+    """The set a + g, each element moved through group.add."""
+    return VertexSet.from_indices((group.add(x, g) for x in a.indices()), a.size)
+
+
+def exact_parabola_grid(N: int) -> GridFunction:
+    """4x(1-x) at x = i/N in exact Fractions."""
+    return GridFunction(N, [parabola(Fraction(i, N)) for i in range(N + 1)], label="parabola")

@@ -533,10 +533,18 @@ def test_usage_error_exit_code():
     (["check-class", "--fn", "builtin:tent:1/0,1", "--class", "F", "--n", "8"], None),
     (["verify-catalog", "--catalog", "{tmp}/cat.json", "--out", "{tmp}/c.csv"], {"entries": []}),
     (["verify-catalog", "--catalog", "{tmp}/cat.json"], {"entries": [{"group": "Z4", "s": "(1)"}]}),
-], ids=["unwritable-out", "unwritable-csv", "zero-denominator", "empty-catalog", "nameless-entry"])
+    (["check-class", "--fn", "{tmp}/exact.csv", "--class", "F"], None),
+    (["check-class", "--fn", "{tmp}/mixed.csv", "--class", "F0"], None),
+    (["check-class", "--fn", "builtin:tent:1/2,1e400", "--class", "strong", "--n", "4"], None),
+], ids=["unwritable-out", "unwritable-csv", "zero-denominator", "empty-catalog", "nameless-entry",
+        "exact-csv-past-float-range", "mixed-csv-past-float-range", "tent-past-float-range"])
 def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv, catalog):
     if catalog is not None:
         (tmp_path / "cat.json").write_text(json.dumps(catalog))
+    # one value past the float range, among exact values or among floats
+    big = f"1,1/2,{10**400}/1\n"
+    (tmp_path / "exact.csv").write_text("i,x,value\n0,0/2,0/1\n" + big + "2,2/2,0/1\n")
+    (tmp_path / "mixed.csv").write_text("i,x,value\n0,0/2,0.0\n" + big + "2,2/2,0.0\n")
     code = main([a.format(tmp=tmp_path) for a in argv])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2

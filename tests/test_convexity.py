@@ -22,6 +22,8 @@ from relconv.convexity import (
 from relconv.extremal import majorant_grid, majorant_values, parabola_grid
 from relconv.grid import GridFunction
 
+from conftest import exact_parabola_grid
+
 
 def scaled(f: GridFunction, t: float) -> GridFunction:
     return GridFunction(f.N, t * f.floats(), label=f"{t}*{f.label}")
@@ -323,7 +325,7 @@ class TestTent:
 
 class TestUnderParabola:
     def test_parabola_itself_passes_and_is_member(self):
-        g = parabola_grid(32, exact=True)
+        g = exact_parabola_grid(32)
         assert check_under_parabola(g)
         assert not check_almost_convex_anchored(g)
 
@@ -367,7 +369,7 @@ class TestEndpointReduction:
         inputs += [
             make_tent(Fraction(1, 4), Fraction(3, 4) + Fraction(1, 10**10), 8),
             make_tent(Fraction(1, 4), Fraction(3, 4), 8),
-            parabola_grid(16, exact=True),
+            exact_parabola_grid(16),
         ]
         verdicts = [check_endpoint_reduction(f)[1] for f in inputs]
         assert verdicts == [not check_almost_convex(f) for f in inputs]
@@ -387,7 +389,7 @@ class TestEndpointReduction:
         assert [(v.a, v.b, v.c) for v in check_almost_convex(g)] == [(4, 6, 8), (5, 6, 7)]
         assert check_endpoint_reduction(g) == (False, False)
         # the exact parabola meets the endpoint triple (0, 1/2, 1) with equality
-        assert check_endpoint_reduction(parabola_grid(8, exact=True)) == (True, True)
+        assert check_endpoint_reduction(exact_parabola_grid(8)) == (True, True)
 
     def test_concavity_required(self):
         x = np.arange(17) / 16

@@ -21,6 +21,8 @@ from relconv.extremal import (
 from relconv.convexity import check_almost_convex
 from relconv.grid import _triple_rows
 
+from conftest import exact_parabola_grid
+
 
 def brute_majorant(x: float, kmax: int = 200) -> float:
     """Independent oracle: full minimum over the first kmax branches."""
@@ -483,7 +485,7 @@ class TestClosedFormStart:
 
 def test_parabola_grid_matches_pointwise():
     g = parabola_grid(16)
-    ge = parabola_grid(16, exact=True)
+    ge = exact_parabola_grid(16)
     assert ge.is_exact and not g.is_exact
     for i in range(17):
         assert g[i] == pytest.approx(float(ge[i]), abs=1e-15)

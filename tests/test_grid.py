@@ -53,12 +53,16 @@ def test_csv_short_row_rejected(tmp_path):
         read_csv(path)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), Fraction(10**400)],
+                         ids=["nan", "inf", "-inf", "exact-1e400"])
 def test_non_finite_values_rejected(bad):
-    with pytest.raises(ValueError, match="index 1 is not finite"):
-        GridFunction(2, [0.0, bad, 0.0])
-    with pytest.raises(ValueError, match="index 1 is not finite"):
-        GridFunction(2, np.array([0.0, bad, 0.0]))
+    # an exact value counts by its float, and 10**400 lies past the float range
+    inputs = [[0.0, bad, 0.0], [Fraction(0), bad, Fraction(0)]]
+    if isinstance(bad, float):
+        inputs.append(np.array([0.0, bad, 0.0]))
+    for values in inputs:
+        with pytest.raises(ValueError, match="index 1 is not finite"):
+            GridFunction(2, values)
 
 
 @pytest.mark.parametrize("N", [2, 3, 24, 257, 400])

@@ -22,10 +22,11 @@ from relconv.isoperimetry import (
     _subset_minima,
     boundary_lower_bound,
     digraph_profile,
-    min_boundary_unrestricted,
     profile,
     six_cycle_counterexample,
 )
+
+from conftest import min_boundary_unrestricted
 
 
 def _search_started(w):
@@ -50,7 +51,7 @@ class TestMinBoundary:
         e = profile(g, s).entries[4]
         mb, witness = e.min_boundary, e.witness
         assert mb == 4
-        assert witness.popcount() == 4
+        assert witness.bits.bit_count() == 4
         assert edge_boundary(g, s, witness) == 4
 
     def test_trivial_cardinalities(self):
@@ -129,6 +130,17 @@ class TestProfile:
         report = profile(g, s)
         e = report.entries[2]
         assert (e.min_boundary, e.bound, e.ratio) == (1, 1.0, 1.0)
+
+    def test_subgroups_are_equality_cells_on_z3xz3xz3(self):
+        # a subgroup H of index 3^j has boundary j*|H|, and the bound meets it
+        # there; integers, since at n = 1 the float bound falls 1 ulp short of 3
+        report = profile(*group_and_set("Z3xZ3xZ3", "basis"))
+        assert report.hypothesis_met
+        assert report.bound_violations() == []
+        for j, n in [(3, 1), (2, 3), (1, 9)]:
+            for cell in (report.entries[n], report.entries[27 - n]):
+                assert cell.min_boundary == j * n
+                assert cell.bound == pytest.approx(j * n, abs=1e-9)
 
     def test_profile_symmetry_and_witnesses(self):
         for gtext, stext in [("Z2xZ6", "basis"), ("Z10", "(1),(9)")]:
@@ -287,7 +299,7 @@ class TestCounterexample:
         for n in range(1, 6):
             cell = cells[n]
             assert cell.min_boundary == 2
-            assert cell.witness.popcount() == n
+            assert cell.witness.bits.bit_count() == n
             assert math.isnan(cell.bound) and math.isnan(cell.ratio)  # no m, no bound
 
 
