@@ -20,6 +20,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import catalog as cat
@@ -48,7 +49,8 @@ SCHEMA_VERSION = 1
 
 
 # One Violation as json.dumps(indent=2) spells it inside a top-level list:
-# json writes ints and finite floats as int.__repr__ and float.__repr__ do.
+# json writes ints and finite floats as int.__repr__ and float.__repr__ do,
+# and %d spells a whole float as the int.
 _VIOLATION_ROW = ('    {\n      "a": %d,\n      "b": %d,\n      "c": %d,\n'
                   '      "lhs": %r,\n      "rhs": %r,\n      "slack": %r\n    }')
 
@@ -70,13 +72,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _records_json(records: list) -> str:
     if isinstance(records[0], TupleViolation):  # one m per list
-        xs = ",\n".join(["        %d"] * len(records[0].xs))
+        xs = ",\n".join(["        %d"] * len(records[0][0]))
         row = '    {\n      "xs": [\n' + xs + '\n      ],\n      "lhs": %r,\n      "rhs": %r\n    }'
-        values = [x for v in records for x in (*v.xs, float(v.lhs), float(v.rhs))]
+        records = [(*x, lo, hi) for x, lo, hi in records]
     else:
         row = _VIOLATION_ROW
-        values = [x for v in records for x in (v.a, v.b, v.c, float(v.lhs), float(v.rhs), float(v.slack))]
-    text = ",\n".join([row] * len(records)) % tuple(values)
+    text = ",\n".join([row] * len(records)) % tuple(map(float, chain.from_iterable(records)))
     if "inf" in text or "nan" in text:  # no key or finite repr holds either
         text = text.replace("inf", "Infinity").replace("nan", "NaN")
     return text

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ from .grid import GridFunction, _triple_rows
 SLACK_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """A grid triple a <= b <= c where the checked inequality fails.
 
     slack = rhs - lhs is negative exactly when recorded as a violation.
@@ -53,8 +53,7 @@ class Violation:
     slack: float | Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class TupleViolation:
+class TupleViolation(NamedTuple):
     """An m-tuple of grid indices where the mean inequality fails."""
 
     xs: tuple[int, ...]
@@ -84,7 +83,7 @@ def _collect(rows: Iterator[tuple[list[Violation], float]]) -> ViolationList:
         out.extend(row)
         if worst > out.max_slack:
             out.max_slack = worst
-    out.sort(key=lambda v: (v.a, v.b, v.c))
+    out.sort()  # (a, b, c) is unique per record, so the rest never compares
     return out
 
 
@@ -123,11 +122,10 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
         G = N * (den * F[b] - (c - b) * F[:b, None] - (b - a) * F[None, b + 1:]) - C * den * den
         worst = float((G / (N * D * den)).max())
         lhs = vals[b]
-        row = []
-        for ai, ci in np.argwhere(G > 0):
-            gap = Fraction(int(G[ai, ci]), N * D * int(den[ai, ci]))
-            row.append(Violation(int(ai), b, b + 1 + int(ci), lhs, lhs - gap, -gap))
-        yield row, worst
+        ai, ci = np.nonzero(G > 0)
+        gaps = list(map(Fraction, G[ai, ci].tolist(), (N * D * den[ai, ci]).tolist()))
+        yield list(map(Violation, ai.tolist(), repeat(b), (ci + b + 1).tolist(), repeat(lhs),
+                       [lhs - g for g in gaps], [-g for g in gaps])), worst
 
 
 def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Violation], float]]:
@@ -143,8 +141,9 @@ def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Vio
         if worst > tol:
             with np.errstate(over="ignore"):  # huge finite values give infinite gaps
                 ai, ci = np.nonzero(lhs - rhs > tol)
-            row = [Violation(a, b, b + 1 + c, lhs, r, r - lhs)
-                   for a, c, r in zip(ai.tolist(), ci.tolist(), rhs[ai, ci].tolist())]
+                r = rhs[ai, ci]
+                row = list(map(Violation, ai.tolist(), repeat(b), (ci + b + 1).tolist(), repeat(lhs),
+                               r.tolist(), (r - lhs).tolist()))
         yield row, worst
 
 
@@ -207,9 +206,8 @@ def check_mean_inequality(f: GridFunction, m: int, samples: int = 100_000, seed:
         bad = np.flatnonzero(gap > SLACK_TOL)
         # schema 1 reports an m = 2 record's rhs as lhs - gap
         rhs_out = lhs[bad] - gap[bad] if m == 2 else rhs[bad]
-    out = ViolationList(TupleViolation(tuple(x), lo, hi)
-                        for x, lo, hi in zip(xs[bad].tolist(), lhs[bad].tolist(), rhs_out.tolist()))
-    out.sort(key=lambda v: v.xs)
+    out = ViolationList(map(TupleViolation, map(tuple, xs[bad].tolist()), lhs[bad].tolist(), rhs_out.tolist()))
+    out.sort()  # equal xs make equal records
     out.max_slack = float(gap.max())
     return out
 
@@ -257,7 +255,10 @@ def _require_concave(f: GridFunction) -> None:
         bad = any(f[i - 1] - 2 * f[i] + f[i + 1] > 0 for i in range(1, f.N))
     else:
         v = f.floats()
-        bad = bool(np.any(v[:-2] - 2 * v[1:-1] + v[2:] > 1e-12))
+        # differences, not v[i-1] - 2 v[i] + v[i+1]: 2 v[i] overflows on huge
+        # finite values, while an overflowed difference keeps its sign
+        with np.errstate(over="ignore"):
+            bad = bool(np.any((v[:-2] - v[1:-1]) - (v[1:-1] - v[2:]) > 1e-12))
     if bad:
         raise ValueError(f"{f!r} is not concave on the grid")
 

@@ -160,13 +160,12 @@ def sup_closed_form(p: float, N: int) -> GridFunction:
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration ran out of sweeps before the tolerance was met."""
+    """Fixed-point iteration ran out of sweeps before the tolerance was met;
+    `last` is the last iterate."""
 
-    def __init__(self, message: str, last: GridFunction, iterations: int, last_decrease: float):
+    def __init__(self, message: str, last: GridFunction):
         super().__init__(message)
         self.last = last
-        self.iterations = iterations
-        self.last_decrease = last_decrease
 
 
 def estimate_sup(
@@ -279,10 +278,6 @@ def estimate_sup(
         stats["last_decrease"] = float(max_dec)
         stats["converged"] = bool(max_dec < tol)
     if max_dec >= tol:
-        raise ConvergenceError(
-            f"no convergence after {iterations} sweeps (last decrease {max_dec:.3e} >= tol {tol:.3e})",
-            last=result,
-            iterations=iterations,
-            last_decrease=float(max_dec),
-        )
+        raise ConvergenceError(f"no convergence after {iterations} sweeps "
+                               f"(last decrease {max_dec:.3e} >= tol {tol:.3e})", result)
     return result

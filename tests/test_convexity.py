@@ -56,9 +56,8 @@ def fraction_scan(f: GridFunction, c: Fraction) -> tuple[list[tuple], float]:
 
 def assert_matches_oracle(f: GridFunction, c: Fraction) -> None:
     out = check_almost_convex(f, c)
-    rows = [(v.a, v.b, v.c, v.lhs, v.rhs, v.slack) for v in out]
-    assert all(isinstance(x, Fraction) for row in rows for x in row[3:])
-    assert (rows, out.max_slack) == fraction_scan(f, Fraction(c))
+    assert all(isinstance(x, Fraction) for v in out for x in v[3:])
+    assert (out, out.max_slack) == fraction_scan(f, Fraction(c))
 
 
 def random_rationals(seed: int, n: int, numerators: int, denominator: int) -> list[Fraction]:
@@ -85,7 +84,7 @@ def scalar_float_scan(f: GridFunction, tol: float, defect) -> tuple[list[tuple],
 
 
 def float_rows(out) -> tuple[list[tuple], float]:
-    return [(v.a, v.b, v.c, v.lhs, v.rhs, v.slack) for v in out], out.max_slack
+    return out, out.max_slack
 
 
 class TestAlmostConvex:
@@ -162,6 +161,9 @@ class TestAlmostConvex:
         violations = check_almost_convex(scaled(majorant_grid(48), 3.0))
         keys = [(v.a, v.b, v.c) for v in violations]
         assert keys == sorted(keys)
+        # records are their tuples: they sort, unpack and compare as (a, b, c, lhs, rhs, slack)
+        assert list(violations) == sorted(violations)
+        assert all(v == (v.a, v.b, v.c, v.lhs, v.rhs, v.slack) for v in violations)
 
 
 class TestAnchored:
@@ -241,6 +243,7 @@ class TestMeanInequality:
                     total += v[x]
                 rhs = total / m + (rec.xs[-1] - rec.xs[0]) / f.N
                 assert (rec.lhs.hex(), rec.rhs.hex()) == (v[sum(rec.xs) // m].hex(), rhs.hex()), rec
+                assert rec == (rec.xs, v[sum(rec.xs) // m], rhs)
 
     def test_majorant_passes_exhaustive_pairs(self):
         assert not check_mean_inequality(majorant_grid(128), 2)
@@ -344,6 +347,11 @@ class TestUnderParabola:
             check_under_parabola(GridFunction(16, x**2))  # convex
         with pytest.raises(ValueError):
             check_under_parabola(GridFunction(16, np.full(17, 0.5)))  # endpoints
+        # 2 * 0.9e308 overflows; the middle second difference is +1.78e308
+        huge = [0.0, 1.79e308, 0.9e308, 1.79e308, 0.0]
+        for f in (GridFunction(4, [Fraction(x) for x in huge]), GridFunction(4, huge)):
+            with pytest.raises(ValueError, match="not concave"):
+                check_under_parabola(f)
 
 
 class TestEndpointReduction:
@@ -395,6 +403,13 @@ class TestEndpointReduction:
         x = np.arange(17) / 16
         with pytest.raises(ValueError):
             check_endpoint_reduction(GridFunction(16, x**2))
+
+    def test_huge_finite_constant_is_concave(self):
+        # 2 * -1e308 overflows to -inf; the differences of a constant are 0
+        exact = check_endpoint_reduction(GridFunction(2, [Fraction(-1e308)] * 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_endpoint_reduction(GridFunction(2, [-1e308] * 3)) == exact == (True, True)
 
     def test_endpoint_check_is_decisive_for_concave_functions(self):
         # mixed caps and scalings, including samples far outside the class
