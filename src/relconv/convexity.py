@@ -73,7 +73,15 @@ def check_almost_convex(f: GridFunction, c: float | Fraction = 1, p: float = 1, 
 
     Returns every triple with f[b] > lam*f[a] + (1-lam)*f[c] + c*((c-a)/N)**p
     beyond tolerance; an empty result means grid-restricted membership.
+    Raises ValueError unless p is positive and finite and a float c and tol
+    are finite: a NaN comparison fails, so it would hide every violation.
     """
+    if not 0 < p < math.inf:
+        raise ValueError(f"defect exponent must be positive and finite, got {p}")
+    if not (isinstance(c, (int, Fraction)) or math.isfinite(c)):
+        raise ValueError(f"defect scale must be finite, got {c}")
+    if not math.isfinite(tol):
+        raise ValueError(f"slack tolerance must be finite, got {tol}")
     return _collect(_scan_rows(f, c, p, tol))
 
 

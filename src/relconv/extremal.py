@@ -96,20 +96,19 @@ def majorant_values(x) -> np.ndarray:
     """Vectorized majorant values (floats only, no branch reporting)."""
     table = _branch_table()
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
+    if not np.all((0 <= x) & (x <= 1)):
         raise ValueError("arguments must lie in [0, 1]")
     d = np.minimum(x, 1.0 - x)
-    # smallest k with table[k] <= d, searched in the descending table
+    # smallest k with table[k] <= d, searched in the descending table; d = 0
+    # lies below every entry, so k = cap and the value is 0**(1 - 1/cap) = 0
     k = np.searchsorted(-table, -d, side="left")
     k = np.clip(k, 1, default_branch_cap())
-    with np.errstate(divide="ignore"):
-        vals = k * d ** (1.0 - 1.0 / k)
-    return np.where(d > 0, vals, 0.0)
+    return k * d ** (1.0 - 1.0 / k)
 
 
 def parabola(x: Real):
     """The critical parabola 4x(1-x); exact when x is exact."""
-    if x < 0 or x > 1:
+    if not 0 <= x <= 1:
         raise ValueError(f"argument must lie in [0, 1], got {x}")
     return 4 * x * (1 - x)
 
@@ -147,12 +146,12 @@ def parabola_grid(N: int) -> GridFunction:
 def sup_closed_form(p: float, N: int) -> GridFunction:
     """The scaled parabola q[b] = (2/N)**p * b*(N - b) = (2/N)**(p-2) * 4x(1-x).
 
-    For p >= 2 this is the discrete supremum that estimate_sup computes:
-    q is an upper bound, because the adjacent triples (b-1, b, b+1) alone
-    force g <= q (q meets each with equality, and the discrete maximum
-    principle does the rest); and q is a member, because a triple of span
-    s = (c-a)/N and weight lam has gap (2/N)**(p-2) * 4lam(1-lam)s**2 <= s**p,
-    since s >= 2/N.  For p < 2 the last step fails at s = 1, and q is no
+    For every p > 0, q bounds the discrete supremum that estimate_sup
+    computes: the adjacent triples (b-1, b, b+1) alone force g <= q (q meets
+    each with equality, and the discrete maximum principle does the rest).
+    For p >= 2, q equals that supremum, because q is also a member: a triple
+    of span s = (c-a)/N and weight lam has gap (2/N)**(p-2) * 4lam(1-lam)s**2
+    <= s**p, since s >= 2/N.  For p < 2 this step fails at s = 1, and q is no
     member.  The integer part is divided once, so p = 2 is correctly rounded.
     """
     b = np.arange(N + 1)
@@ -182,17 +181,17 @@ def estimate_sup(
 
         g[b] <= lam*g[a] + (1-lam)*g[c] + ((c-a)/N)**p,
 
-    by downward Gauss-Seidel sweeps from an upper bound.  For p >= 2 the
-    start is the supremum itself, sup_closed_form(p, N); the first sweep
-    certifies it as a fixed point, moving no value by more than rounding,
-    so a converged run takes one sweep.  For p < 2 the start is the
-    constant 1 for p = 1, else 2**p (substituting x1 = 1, x2 = 0 shows
-    members of the class never exceed the defect at full spread).  Sweeps
-    visit b in ascending order and minimize over all (a, c) pairs; updates
-    only ever decrease, so the iteration descends onto the unique discrete
-    supremum.  Stops when the largest pointwise decrease of a sweep drops
-    below tol: tol bounds that last decrease, not the distance to the
-    supremum, which is larger where the sweeps contract slowly.
+    by downward Gauss-Seidel sweeps from an upper bound: the pointwise
+    minimum of q = sup_closed_form(p, N), which bounds the supremum for
+    every p, and 1, which bounds it through the full-span triple (0, b, N).
+    For p >= 2, q <= 1 and q equals the supremum; the first sweep certifies
+    it as a fixed point, moving no value by more than rounding, so a
+    converged run takes one sweep.  Sweeps visit b in ascending order and
+    minimize over all (a, c) pairs; updates only ever decrease, so the
+    iteration descends onto the unique discrete supremum.  Stops when the
+    largest pointwise decrease of a sweep drops below tol: tol bounds that
+    last decrease, not the distance to the supremum, which is larger where
+    the sweeps contract slowly.
 
     Each sweep after the first re-reads row b only where its inputs may
     have changed since row b was last read.  With g[w-1] the last value
@@ -204,38 +203,28 @@ def estimate_sup(
     every entry of row b as last read, so each update is a full sweep's bit
     for bit.
 
-    Raises ValueError unless 0 < p < 1024 (past that 2**p is not a finite
-    float; the bound is kept for every p, although only p < 2 starts from
-    2**p) and ConvergenceError (carrying the last iterate) if max_iters
-    sweeps do not reach tol.  Mutates `stats`, when given, with the sweep
-    count `iterations`, the triples one sweep visits `triples`, the (a, c)
-    entries each sweep actually evaluated `triples_read`, the per-sweep
-    wall times `sweep_ms`, the per-sweep largest decreases `decreases`, the
-    last of them `last_decrease`, and `converged`.  The triple geometry is
+    Raises ValueError unless p is positive and finite, and ConvergenceError
+    (carrying the last iterate) if max_iters sweeps do not reach tol.
+    Mutates `stats`, when given, with the sweep count `iterations`, the
+    triples one sweep visits `triples`, the (a, c) entries each sweep
+    actually evaluated `triples_read`, the per-sweep wall times `sweep_ms`,
+    the per-sweep largest decreases `decreases`, the last of them
+    `last_decrease`, and `converged`.  The triple geometry is
     built once per call (see grid._triple_rows): O(N^2) memory.
     """
     if N < 2:
         raise ValueError(f"grid resolution must be >= 2, got {N}")
-    if not p > 0:
-        raise ValueError(f"defect exponent must be positive, got {p}")
-    if not p < 1024:
-        raise ValueError(f"defect exponent p must be < 1024 for a finite start bound 2**p, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"defect exponent must be positive and finite, got {p}")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
-    if p >= 2:
-        g = sup_closed_form(p, N).floats()
-    else:
-        g = np.full(N + 1, 1.0 if p == 1 else 2.0**p)
-        g[0] = 0.0
-        g[N] = 0.0
+    g = np.minimum(sup_closed_form(p, N).floats(), 1.0)
     spread = (np.arange(N + 1) / N) ** p
     row = _triple_rows(N, lambda den, lam: spread[den], g)
 
-    iterations = 0
-    max_dec = np.inf
     decreases = []
     sweep_ms = []
     triples_read = []
@@ -243,8 +232,7 @@ def estimate_sup(
     # value the previous sweep wrote (g[0] and g[N] never change); the first
     # sweep reads every row whole
     last = N + 1
-    while iterations < max_iters:
-        iterations += 1
+    while len(decreases) < max_iters:
         max_dec = 0.0
         w = 1
         read = 0
@@ -269,15 +257,16 @@ def estimate_sup(
         if max_dec < tol:
             break
     result = GridFunction(N, g, label=f"sup-estimate[p={p}]")
+    converged = decreases[-1] < tol
     if stats is not None:
-        stats["iterations"] = iterations
+        stats["iterations"] = len(decreases)
         stats["triples"] = math.comb(N + 1, 3)
         stats["triples_read"] = triples_read
         stats["sweep_ms"] = sweep_ms
         stats["decreases"] = decreases
-        stats["last_decrease"] = float(max_dec)
-        stats["converged"] = bool(max_dec < tol)
-    if max_dec >= tol:
-        raise ConvergenceError(f"no convergence after {iterations} sweeps "
-                               f"(last decrease {max_dec:.3e} >= tol {tol:.3e})", result)
+        stats["last_decrease"] = decreases[-1]
+        stats["converged"] = converged
+    if not converged:
+        raise ConvergenceError(f"no convergence after {len(decreases)} sweeps "
+                               f"(last decrease {decreases[-1]:.3e} >= tol {tol:.3e})", result)
     return result

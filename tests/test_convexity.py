@@ -165,6 +165,22 @@ class TestAlmostConvex:
         assert list(violations) == sorted(violations)
         assert all(v == (v.a, v.b, v.c, v.lhs, v.rhs, v.slack) for v in violations)
 
+    @pytest.mark.parametrize("kw, msg", [
+        ({"p": math.nan}, "exponent must be positive and finite, got nan"),
+        ({"p": math.inf}, "exponent must be positive and finite, got inf"),
+        ({"p": 0}, "exponent must be positive and finite, got 0"),
+        ({"c": math.nan}, "scale must be finite, got nan"),
+        ({"c": -math.inf}, "scale must be finite, got -inf"),
+        ({"tol": math.nan}, "tolerance must be finite, got nan"),
+        ({"tol": math.inf}, "tolerance must be finite, got inf"),
+    ], ids=["p-nan", "p-inf", "p-0", "c-nan", "c-neg-inf", "tol-nan", "tol-inf"])
+    def test_non_finite_parameters_rejected(self, kw, msg):
+        # a NaN parameter fails every comparison, which would report membership
+        f = GridFunction(8, 3 * majorant_grid(8).floats())
+        assert len(check_almost_convex(f)) == 58
+        with pytest.raises(ValueError, match=msg):
+            check_almost_convex(f, **kw)
+
 
 class TestAnchored:
     def test_majorant_grid_is_member(self):

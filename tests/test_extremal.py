@@ -90,6 +90,9 @@ class TestMajorant:
             majorant(-0.1)
         with pytest.raises(ValueError):
             majorant(Fraction(7, 6))
+        for x in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                majorant_values([x, 0.5])
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
@@ -137,8 +140,9 @@ class TestParabola:
         assert isinstance(parabola(Fraction(1, 3)), Fraction)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            parabola(1.2)
+        for x in (1.2, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                parabola(x)
 
 
 class TestRescale:
@@ -168,15 +172,15 @@ def closed_form(p: float, N: int) -> np.ndarray:
 
 
 def constant_start(p: float, N: int) -> np.ndarray:
-    """The constant upper bound 1 (p = 1) or max(1, 2**p), zero at both ends."""
-    g = np.full(N + 1, 1.0 if p == 1 else max(1.0, 2.0**p))
+    """The old cold start: the constant bound 1 (p = 1) or 2**p, zero at both ends."""
+    g = np.full(N + 1, 1.0 if p == 1 else 2.0**p)
     g[0] = g[N] = 0.0
     return g
 
 
 def sup_start(p: float, N: int) -> np.ndarray:
-    """Where estimate_sup starts: the closed form for p >= 2, else the constant bound."""
-    return closed_form(p, N) if p >= 2 else constant_start(p, N)
+    """Where estimate_sup starts: the pointwise minimum of the closed form and 1."""
+    return np.minimum(closed_form(p, N), 1.0)
 
 
 def scalar_sup_sweeps(p: float, N: int, tol: float, max_iters: int) -> tuple[np.ndarray, int, list[float]]:
@@ -421,13 +425,17 @@ class TestEstimateSup:
         with pytest.raises(ValueError):
             estimate_sup(1, 8, max_iters=0)
 
-    @pytest.mark.parametrize("p", [1024, 1100, math.inf])
-    def test_start_bound_must_be_a_finite_float(self, p):
-        with pytest.raises(ValueError, match=f"defect exponent p must be < 1024 .*got {p}"):
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_exponent_must_be_finite(self, p):
+        with pytest.raises(ValueError, match=f"defect exponent must be positive and finite, got {p}"):
             estimate_sup(p, 8)
 
-    def test_largest_exponent_below_the_float_range(self):
-        g = estimate_sup(1023.5, 8)
+    @pytest.mark.parametrize("p", [1023.5, 1024, 1100])
+    def test_huge_exponents_converge_in_one_sweep(self, p):
+        # (2/N)**(p-2) underflows to 0 here, and the zero start is the sup
+        stats: dict = {}
+        g = estimate_sup(p, 8, stats=stats)
+        assert stats["iterations"] == 1 and stats["converged"]
         assert np.all(g.floats() >= 0) and g[0] == g[8] == 0.0
 
 
@@ -453,7 +461,7 @@ class TestClosedForm:
                     assert q[b] == rhs if c - a == 2 else q[b] <= rhs, (a, b, c)
 
     def test_no_member_below_p2(self):
-        # at p = 1.5 the span-1 triples fail: why only p >= 2 starts at q
+        # at p = 1.5 the span-1 triples fail: below p = 2, q only bounds the sup
         assert check_almost_convex(sup_closed_form(1.5, 32), 1, 1.5)
 
 
@@ -474,6 +482,17 @@ class TestClosedFormStart:
         g = estimate_sup(2, N).floats()
         assert np.abs(g - iterates[-1]).max() <= 3e-12
         assert np.abs(g - closed_form(2, N)).max() <= 1e-15
+
+    @pytest.mark.parametrize("p, saved", [(1, 0), (1.5, 1)])
+    @pytest.mark.parametrize("N", [48, 97])
+    def test_below_p2_same_bits_as_the_constant_start(self, N, p, saved):
+        # at p = 1 the start is the old constant 1; at p = 1.5 it is below
+        # the old 2**p, and the sweeps reach the same bits one sweep sooner
+        iterates, _ = full_row_sweeps(p, N, 1e-9, start=constant_start(p, N))
+        stats: dict = {}
+        g = estimate_sup(p, N, stats=stats)
+        assert g.floats().tobytes() == iterates[-1].tobytes()
+        assert stats["iterations"] == len(iterates) - saved
 
     @pytest.mark.parametrize("p", [2.5, 3, 4])
     @pytest.mark.parametrize("N", [5, 8, 16])
