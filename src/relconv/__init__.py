@@ -14,7 +14,6 @@ from .cayley import (
     ConnectionSet,
     GenericDigraph,
     VertexSet,
-    digraph_boundary,
     edge_boundary,
     element_order,
     max_order,

@@ -216,9 +216,3 @@ class GenericDigraph:
             arcs.append(((i + 1) % n, i))
         return cls(n, tuple(arcs))
 
-
-def digraph_boundary(d: GenericDigraph, a: VertexSet) -> int:
-    """Count arcs (u, v) with u in A and v outside A (multiset count)."""
-    if a.size != d.n:
-        raise ValueError(f"vertex set size {a.size} != digraph order {d.n}")
-    return sum(1 for u, v in d.arcs if a.contains(u) and not a.contains(v))

@@ -42,7 +42,7 @@ from .extremal import (
     majorant_grid,
     parabola_grid,
 )
-from .grid import GridFunction, read_csv, write_csv
+from .grid import GridFunction, _float, read_csv, write_csv
 from .isoperimetry import profile, six_cycle_counterexample
 
 SCHEMA_VERSION = 1
@@ -77,7 +77,11 @@ def _records_json(records: list) -> str:
         records = [(*x, lo, hi) for x, lo, hi in records]
     else:
         row = _VIOLATION_ROW
-    text = ",\n".join([row] * len(records)) % tuple(map(float, chain.from_iterable(records)))
+    try:
+        values = tuple(map(float, chain.from_iterable(records)))
+    except OverflowError:  # an exact value past the float range
+        values = tuple(map(_float, chain.from_iterable(records)))
+    text = ",\n".join([row] * len(records)) % values
     if "inf" in text or "nan" in text:  # no key or finite repr holds either
         text = text.replace("inf", "Infinity").replace("nan", "NaN")
     return text

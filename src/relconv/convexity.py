@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .extremal import majorant_values, parabola
-from .grid import GridFunction, _triple_rows
+from .grid import GridFunction, _float, _triple_rows
 
 # Every class check tests the same inequality, so the float scans share one
 # slack tolerance.
@@ -116,9 +116,10 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
     C = c_const.numerator * (D // c_const.denominator)
     # |G| <= N^2 (2 max|F| + |C|) and N*D*(c-a) <= N^2 D.  Below 2^53, int64
     # cannot overflow, both convert to float64 exactly and their quotient is
-    # correctly rounded.  Past it, Python ints in object arrays are exact and
-    # their true division is correctly rounded too.  Rounding is monotone, so
-    # the largest rounded quotient is the exact largest gap, rounded.
+    # correctly rounded.  Past it, Python ints in object arrays are exact; their
+    # true division is correctly rounded but raises past the float range, where
+    # the row's exact largest quotient rounds through _float.  Rounding is
+    # monotone, so the largest rounded quotient is the exact largest gap, rounded.
     fits = N * N * max(2 * max(map(abs, F)) + abs(C), D) < 2**53
     dtype = np.int64 if fits else object
     F = np.array(F, dtype=dtype)
@@ -128,7 +129,10 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
         c = idx[None, b + 1:]
         den = c - a
         G = N * (den * F[b] - (c - b) * F[:b, None] - (b - a) * F[None, b + 1:]) - C * den * den
-        worst = float((G / (N * D * den)).max())
+        try:
+            worst = float((G / (N * D * den)).max())
+        except OverflowError:  # an object-array quotient past the float range
+            worst = _float(max(map(Fraction, G.flat, (N * D * den).flat)))
         lhs = vals[b]
         ai, ci = np.nonzero(G > 0)
         gaps = list(map(Fraction, G[ai, ci].tolist(), (N * D * den[ai, ci]).tolist()))

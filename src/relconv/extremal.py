@@ -82,9 +82,9 @@ def majorant(x: Real) -> MajorantValue:
     and the branch is reported as 2 (every k >= 2 attains the minimum there,
     while the k = 1 term is the constant 1).
     """
-    xq = Fraction(float(x)) if not isinstance(x, (Fraction, int)) else Fraction(x)
-    if xq < 0 or xq > 1:
+    if not 0 <= x <= 1:  # before Fraction(float(x)), which raises on inf and nan
         raise ValueError(f"argument must lie in [0, 1], got {x}")
+    xq = Fraction(float(x)) if not isinstance(x, (Fraction, int)) else Fraction(x)
     d = min(xq, 1 - xq)
     if d == 0:
         return MajorantValue(0.0, 2)
@@ -117,8 +117,10 @@ def rescale_majorant(u: Real, v: Real, c: Real, x: Real) -> float:
     """Largest endpoint-nonpositive function of the rescaled class on [u, v].
 
     For the class on [u, v] with defect c|x2 - x1| this is
-    c * (v - u) * E((x - u) / (v - u)).
+    c * (v - u) * E((x - u) / (v - u)).  Every float argument must be finite.
     """
+    if not all(isinstance(t, (int, Fraction)) or math.isfinite(t) for t in (u, v, c, x)):
+        raise ValueError(f"arguments must be finite, got u={u}, v={v}, c={c}, x={x}")
     if not u < v:
         raise ValueError(f"need u < v, got u={u}, v={v}")
     if not c > 0:

@@ -19,11 +19,11 @@ import numpy as np
 
 
 def _float(v) -> float:
-    """float(v), or inf for an exact value past the float range, where float() raises."""
+    """float(v), or inf of v's sign for an exact value past the float range, where float() raises."""
     try:
         return float(v)
     except OverflowError:
-        return math.inf
+        return math.inf if v > 0 else -math.inf
 
 
 class GridFunction:

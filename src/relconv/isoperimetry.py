@@ -46,12 +46,10 @@ from .cayley import (
     GenericDigraph,
     VertexSet,
     _warn_caller,
-    digraph_boundary,
     max_order,
 )
 from .extremal import majorant
 
-BOUND_TOL = 1e-9
 # Largest graph the exhaustive search accepts: 2^31 identity-containing
 # subsets of a Cayley digraph, 2^32 subsets of an arc list.
 ORDER_CAP = 32
@@ -59,13 +57,14 @@ ORDER_CAP = 32
 
 @dataclass(frozen=True)
 class ProfileEntry:
-    """Per-cardinality result: exact minimum boundary, witness, bound, ratio."""
+    """Per-cardinality result: exact minimum boundary, witness, bound, ratio, and whether the minimum is below it."""
 
     n: int
     min_boundary: int
     witness: VertexSet
     bound: float
     ratio: float
+    below_bound: bool
 
     def to_dict(self) -> dict:
         return {
@@ -92,7 +91,7 @@ class ProfileReport:
     wall_ms: float
 
     def bound_violations(self) -> list[int]:
-        return [e.n for e in self.entries if e.min_boundary < e.bound - BOUND_TOL]
+        return [e.n for e in self.entries if e.below_bound]
 
     def rows(self) -> list[dict]:
         """One CSV row per cardinality, each with the search's wall_ms; ratio is inf where the bound is 0."""
@@ -220,7 +219,7 @@ def boundary_lower_bound(
     order = group.order
     if not 0 <= n <= order:
         raise ValueError(f"cardinality {n} out of range for group order {order}")
-    return _bound(order, _exponent(group, s, m_override), n)
+    return _bound(order, _exponent(group, s, m_override), n, 0)[0]
 
 
 def _exponent(group: AbelianGroup, s: ConnectionSet, m_override: int | None) -> int:
@@ -232,9 +231,17 @@ def _exponent(group: AbelianGroup, s: ConnectionSet, m_override: int | None) -> 
     return m
 
 
-def _bound(order: int, m: int, n: int) -> float:
-    """(order/m) * E(n/order): the bound on the boundary of an n-subset."""
-    return (order / m) * majorant(Fraction(n, order)).value
+def _bound(order: int, m: int, n: int, mb: int) -> tuple[float, bool]:
+    """(order/m) * E(n/order), the bound on the boundary of an n-subset, and whether mb lies below it.
+
+    With d = min(n, order - n) and k the branch of E at d/order, the bound is
+    (order/m) * k * (d/order)**(1 - 1/k), so mb lies below it exactly when
+    (m*mb)**k < k**k * d**(k-1) * order: an integer test, with no tolerance.
+    """
+    d = min(n, order - n)
+    mv = majorant(Fraction(d, order))
+    k = mv.branch
+    return (order / m) * mv.value, (m * mb) ** k < k**k * d ** (k - 1) * order
 
 
 def _report(group: str, connection_set: str, order: int, m: int | None, layers, cayley: bool) -> ProfileReport:
@@ -246,13 +253,14 @@ def _report(group: str, connection_set: str, order: int, m: int | None, layers, 
     a nonempty proper A has boundary 0 iff A + S lies in A, that is, iff A is
     a union of cosets of <S>, so S generates G iff every interior minimum is
     positive.  Any other digraph is searched over all subsets and never meets
-    the hypothesis.  Without an m, bound and ratio are nan.
+    the hypothesis.  Without an m, bound and ratio are nan and no cell lies
+    below the bound.
     """
     t0 = time.perf_counter()
     entries = []
     for n, (mb, bits) in enumerate(_subset_minima(order, layers, identity=cayley)):
-        bound = _bound(order, m, n) if m else math.nan
-        entries.append(ProfileEntry(n, mb, VertexSet(bits, order), bound, math.inf if bound == 0 else mb / bound))
+        bound, below = _bound(order, m, n, mb) if m else (math.nan, False)
+        entries.append(ProfileEntry(n, mb, VertexSet(bits, order), bound, math.inf if bound == 0 else mb / bound, below))
     wall_ms = (time.perf_counter() - t0) * 1e3
     generating = cayley and all(e.min_boundary for e in entries[1:-1])
     # the nonempty proper subsets searched: those that hold the identity, or all
@@ -303,20 +311,15 @@ def digraph_profile(d: GenericDigraph, m: int | None = None, name: str = "digrap
     return _report(name, "arc-list", d.n, m, layers, cayley=False)
 
 
-def six_cycle_counterexample(path_len: int = 1) -> tuple[int, float]:
-    """Boundary vs. would-be bound on the bidirectional 6-cycle.
+def six_cycle_counterexample() -> tuple[int, float]:
+    """Boundary vs. would-be bound of one vertex of the bidirectional 6-cycle.
 
     The 6-cycle arises as a Cayley graph of a non-abelian group of order 6
-    generated by two involutions (m = 2); a path of path_len consecutive
-    vertices has boundary 2, strictly below (1/2)*6*E(path_len/6).  Returns
-    (boundary, bound) after checking that the bound really does fail.
+    generated by two involutions (m = 2); a single vertex has boundary 2,
+    strictly below (1/2)*6*E(1/6).  Returns (boundary, bound), read off the
+    cycle's profile, after checking that the bound really does fail.
     """
-    if not 1 <= path_len <= 5:
-        raise ValueError(f"path length must be in 1..5, got {path_len}")
-    cycle = GenericDigraph.bidirectional_cycle(6)
-    a = VertexSet.from_indices(range(path_len), 6)
-    boundary = digraph_boundary(cycle, a)
-    bound = _bound(6, 2, path_len)
-    if not boundary < bound:
-        raise RuntimeError(f"expected failure of the bound, got {boundary} >= {bound}")
-    return boundary, bound
+    cell = digraph_profile(GenericDigraph.bidirectional_cycle(6), 2).entries[1]
+    if not cell.below_bound:
+        raise RuntimeError(f"expected failure of the bound, got {cell.min_boundary} >= {cell.bound}")
+    return cell.min_boundary, cell.bound

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from relconv.cayley import AbelianGroup, ConnectionSet, VertexSet, edge_boundary
+from relconv.cayley import AbelianGroup, ConnectionSet, GenericDigraph, VertexSet, edge_boundary
 from relconv.extremal import parabola
 from relconv.grid import GridFunction
 
@@ -49,6 +49,16 @@ def min_boundary_unrestricted(group: AbelianGroup, s: ConnectionSet, n: int) -> 
         if best is None or b < best[0]:
             best = (b, a)
     return best
+
+
+def digraph_boundary(d: GenericDigraph, a: VertexSet) -> int:
+    """Count arcs (u, v) with u in A and v outside A (multiset count), one arc at a time.
+
+    The arc-list oracle: shares no code with the bit-parallel kernel.
+    """
+    if a.size != d.n:
+        raise ValueError(f"vertex set size {a.size} != digraph order {d.n}")
+    return sum(1 for u, v in d.arcs if a.contains(u) and not a.contains(v))
 
 
 def undirected_cut(group: AbelianGroup, s: ConnectionSet, a: VertexSet) -> int:

@@ -10,14 +10,13 @@ from relconv.cayley import (
     ConnectionSet,
     GenericDigraph,
     VertexSet,
-    digraph_boundary,
     edge_boundary,
     element_order,
     max_order,
 )
 from relconv.isoperimetry import profile
 
-from conftest import translate, undirected_cut
+from conftest import digraph_boundary, translate, undirected_cut
 
 
 def cset(group: AbelianGroup, *coords) -> ConnectionSet:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 import zipfile
@@ -215,11 +216,19 @@ class TestCheckClass:
 HUGE_CSV = "i,x,value\n0,0/2,-1.7e308\n1,1/2,1.7e308\n2,2/2,-1.7e308\n"
 
 
+def to_float(x) -> float:
+    """float(x), or inf of x's sign for an exact x that rounds past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def record_dict(v) -> dict:
     """The dict whose json.dumps spelling a record's report entry must equal."""
     if isinstance(v, TupleViolation):
         return {"xs": list(v.xs), "lhs": float(v.lhs), "rhs": float(v.rhs)}
-    return {"a": v.a, "b": v.b, "c": v.c, "lhs": float(v.lhs), "rhs": float(v.rhs), "slack": float(v.slack)}
+    return {"a": v.a, "b": v.b, "c": v.c, "lhs": to_float(v.lhs), "rhs": to_float(v.rhs), "slack": to_float(v.slack)}
 
 
 def _float_tent(tmp_path):
@@ -251,6 +260,12 @@ def _huge_values(tmp_path):
     return str(path), "F", [], check_almost_convex(read_csv(path))
 
 
+def _huge_exact(tmp_path):
+    path = tmp_path / "huge-exact.csv"
+    write_csv(GridFunction(4, [Fraction(v) for v in (0, 17 * 10**307, -17 * 10**307, 17 * 10**307, 0)]), path)
+    return str(path), "F0", [], check_almost_convex_anchored(read_csv(path))
+
+
 def _awkward_path(tmp_path):
     path = tmp_path / 'tent, "é".csv'
     f = make_tent(Fraction(1, 4), Fraction(4, 5), 16)
@@ -261,8 +276,10 @@ def _awkward_path(tmp_path):
 class TestReportBytes:
     """check-class --out writes exactly json.dumps(payload, indent=2) + "\\n"."""
 
-    @pytest.mark.parametrize("case", [_float_tent, _exact_tent, _sampled_tuples, _member, _huge_values, _awkward_path],
-                             ids=["float-tent", "exact-tent", "tuples", "member", "huge-values", "awkward-path"])
+    @pytest.mark.parametrize("case", [_float_tent, _exact_tent, _sampled_tuples, _member, _huge_values, _huge_exact,
+                                      _awkward_path],
+                             ids=["float-tent", "exact-tent", "tuples", "member", "huge-values", "huge-exact",
+                                  "awkward-path"])
     def test_report_equals_json_dumps(self, capsys, tmp_path, case):
         fn, klass, extra, violations = case(tmp_path)
         out = tmp_path / "r.json"
@@ -489,7 +506,7 @@ class TestVerifyCatalog:
     def test_bound_violation_exits_one(self, capsys, tmp_path, monkeypatch):
         cat = tmp_path / "cat.json"
         cat.write_text(json.dumps({"entries": [{"name": "Z4", "group": "Z4", "s": "(1)"}]}))
-        monkeypatch.setattr(isoperimetry, "_bound", lambda order, m, n: order + 1.0)
+        monkeypatch.setattr(isoperimetry, "_bound", lambda order, m, n, mb: (order + 1.0, mb < order + 1.0))
         code = main(["verify-catalog", "--catalog", str(cat)])
         assert code == 1
         assert "error: bound violated on Z4" in capsys.readouterr().err

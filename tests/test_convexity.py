@@ -33,7 +33,7 @@ def fraction_scan(f: GridFunction, c: Fraction) -> tuple[list[tuple], float]:
     """Slow oracle for the exact scan: every triple in Fraction arithmetic.
 
     Returns the sorted (a, b, c, lhs, rhs, slack) violations and the
-    largest lhs - rhs as a float.
+    largest lhs - rhs as a float, inf of its sign past the float range.
     """
     N = f.N
     vals = f.values
@@ -51,7 +51,10 @@ def fraction_scan(f: GridFunction, c: Fraction) -> tuple[list[tuple], float]:
                     worst = gap
                 if gap > 0:
                     out.append((a, b, cc, lhs, rhs, rhs - lhs))
-    return sorted(out), float(worst)
+    try:
+        return sorted(out), float(worst)
+    except OverflowError:
+        return sorted(out), math.inf if worst > 0 else -math.inf
 
 
 def assert_matches_oracle(f: GridFunction, c: Fraction) -> None:
@@ -156,6 +159,21 @@ class TestAlmostConvex:
         # must take the Python-int fallback to match the oracle
         assert_matches_oracle(GridFunction(12, random_rationals(seed, 13, 3**41, 3**40)), Fraction(1, 3))
         assert_matches_oracle(GridFunction(4, random_rationals(seed, 5, 2**56, 2**56 - 5)), 1)
+
+    @pytest.mark.parametrize("c", [Fraction(10**400, 3), Fraction(-10**400, 3)])
+    def test_exact_scale_past_float_range_matches_oracle(self, c):
+        # every gap lies past the float range, so max_slack is -inf or inf
+        assert_matches_oracle(GridFunction(4, [Fraction(v) for v in (0, 1, Fraction(5, 2), 1, 0)]), c)
+
+    def test_gaps_past_float_range_match_float_twin(self):
+        # finite values whose gaps, and some slacks, overflow a float
+        values = [0, 17 * 10**307, -17 * 10**307, 17 * 10**307, 0]
+        exact = GridFunction(4, [Fraction(v) for v in values])
+        assert_matches_oracle(exact, 1)
+        out = check_almost_convex_anchored(exact)
+        twin = check_almost_convex_anchored(GridFunction(4, [float(v) for v in values]))
+        assert [v[:3] for v in out] == [v[:3] for v in twin] and len(out) == 6
+        assert out.max_slack == twin.max_slack == math.inf
 
     def test_violations_are_sorted(self):
         violations = check_almost_convex(scaled(majorant_grid(48), 3.0))

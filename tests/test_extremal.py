@@ -93,6 +93,9 @@ class TestMajorant:
         for x in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match="must lie in"):
                 majorant_values([x, 0.5])
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                majorant(x)
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
@@ -164,6 +167,10 @@ class TestRescale:
             rescale_majorant(0, 1, -1, 0.5)
         with pytest.raises(ValueError):
             rescale_majorant(0, 1, 1, 1.5)
+        for args in [(0, 1, math.inf, 0.5), (0, math.inf, 1, 5), (-math.inf, 1, 1, 0.5),
+                     (0, 1, 1, math.nan), (0, 1, math.nan, 0.5), (math.nan, 1, 1, 0.5)]:
+            with pytest.raises(ValueError, match="must be finite"):
+                rescale_majorant(*args)
 
 
 def closed_form(p: float, N: int) -> np.ndarray:

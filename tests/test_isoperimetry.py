@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +15,12 @@ from relconv.cayley import (
     ConnectionSet,
     GenericDigraph,
     VertexSet,
-    digraph_boundary,
     edge_boundary,
 )
+from relconv.extremal import default_branch_cap, majorant
 from relconv.isoperimetry import (
     ORDER_CAP,
+    _bound,
     _subset_minima,
     boundary_lower_bound,
     digraph_profile,
@@ -26,7 +28,7 @@ from relconv.isoperimetry import (
     six_cycle_counterexample,
 )
 
-from conftest import min_boundary_unrestricted
+from conftest import digraph_boundary, min_boundary_unrestricted
 
 
 def _search_started(w):
@@ -113,6 +115,19 @@ class TestLowerBound:
         for n in range(10):
             assert boundary_lower_bound(g, s, n, m_override=9) <= boundary_lower_bound(g, s, n) + 1e-12
 
+    def test_integer_verdict_matches_every_branch(self):
+        # mb < (order/m) * min_k k * (d/order)**(1 - 1/k) iff mb lies below
+        # every branch k, each decided in integers: no branch selection, no floats
+        cap = default_branch_cap()
+        for order in range(2, 33):
+            for m in (1, 2, 3, 5):
+                for n in range(1, order):
+                    d = min(n, order - n)
+                    bound, _ = _bound(order, m, n, 0)
+                    for mb in range(max(0, math.floor(bound) - 1), math.ceil(bound) + 2):
+                        below = all((m * mb) ** k < k**k * d ** (k - 1) * order for k in range(1, cap + 1))
+                        assert _bound(order, m, n, mb) == (bound, below), (order, m, n, mb)
+
 
 class TestProfile:
     def test_symmetric_cycle_pair(self):
@@ -133,14 +148,18 @@ class TestProfile:
 
     def test_subgroups_are_equality_cells_on_z3xz3xz3(self):
         # a subgroup H of index 3^j has boundary j*|H|, and the bound meets it
-        # there; integers, since at n = 1 the float bound falls 1 ulp short of 3
+        # there exactly: with d = min(n, 27 - n) and k the branch at d/27,
+        # (m*mb)**k == k**k * d**(k-1) * 27 in integers, while the float bound
+        # at n = 1 falls 1 ulp short of 3
         report = profile(*group_and_set("Z3xZ3xZ3", "basis"))
         assert report.hypothesis_met
         assert report.bound_violations() == []
         for j, n in [(3, 1), (2, 3), (1, 9)]:
+            k = majorant(Fraction(n, 27)).branch
             for cell in (report.entries[n], report.entries[27 - n]):
                 assert cell.min_boundary == j * n
-                assert cell.bound == pytest.approx(j * n, abs=1e-9)
+                assert (3 * cell.min_boundary) ** k == k**k * n ** (k - 1) * 27
+                assert not cell.below_bound
 
     def test_profile_symmetry_and_witnesses(self):
         for gtext, stext in [("Z2xZ6", "basis"), ("Z10", "(1),(9)")]:
@@ -286,13 +305,10 @@ class TestCounterexample:
         assert bound == pytest.approx(3 * math.sqrt(2.0 / 3.0), abs=1e-12)
         assert boundary < bound
 
-    def test_longer_paths(self):
-        assert six_cycle_counterexample(2) == (2, pytest.approx(3.0, abs=1e-12))
-        assert six_cycle_counterexample(3) == (2, pytest.approx(3.0, abs=1e-12))
-
-    def test_path_length_validated(self):
-        with pytest.raises(ValueError):
-            six_cycle_counterexample(0)
+    def test_every_interior_cell_violates(self):
+        report = digraph_profile(GenericDigraph.bidirectional_cycle(6), 2)
+        assert report.bound_violations() == [1, 2, 3, 4, 5]
+        assert [e.bound for e in report.entries[2:5]] == pytest.approx([3.0] * 3, abs=1e-12)
 
     def test_digraph_min_boundary_on_cycle(self):
         cells = digraph_profile(GenericDigraph.bidirectional_cycle(6)).entries
