@@ -49,7 +49,10 @@ class AbelianGroup:
         return tuple(g // p % n for p, n in zip(self._places, self.factors))
 
     def index(self, coords: Sequence[int]) -> int:
-        return sum(c % n * p for c, n, p in zip(coords, self.factors, self._places, strict=True))
+        if len(coords) != len(self.factors):
+            raise ValueError(f"element {tuple(coords)} has {len(coords)} coordinate(s), "
+                             f"{self.describe()} has rank {len(self.factors)}")
+        return sum(c % n * p for c, n, p in zip(coords, self.factors, self._places))
 
     def add(self, a: int, b: int) -> int:
         return self.index([x + y for x, y in zip(self.coords(a), self.coords(b))])

@@ -96,7 +96,7 @@ class TestMixedRadix:
     def test_index_reduces_each_coordinate(self):
         g = AbelianGroup([3, 4])
         assert g.index((-1, 9)) == g.index((2, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^element \(1,\) has 1 coordinate\(s\), Z3xZ4 has rank 2$"):
             g.index((1,))
 
     @pytest.mark.parametrize("call", [

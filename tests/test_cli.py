@@ -242,12 +242,22 @@ def _exact_tent(tmp_path):
             check_almost_convex_anchored(make_tent(Fraction(1, 4), Fraction(4, 5), 16)))
 
 
-def _sampled_tuples(tmp_path):
+def _bump(tmp_path):
     f = majorant_grid(48).floats().copy()
     f[24] += 0.4
     path = tmp_path / "bump.csv"
     write_csv(GridFunction(48, f), path)
-    return str(path), "Fm:3", ["--samples", "2000", "--seed", "42"], check_mean_inequality(read_csv(path), 3, 2000, 42)
+    return str(path)
+
+
+def _sampled_tuples(tmp_path):
+    path = _bump(tmp_path)
+    return path, "Fm:3", ["--samples", "2000", "--seed", "42"], check_mean_inequality(read_csv(path), 3, 2000, 42)
+
+
+def _pairs(tmp_path):
+    path = _bump(tmp_path)
+    return path, "Fm:2", [], check_mean_inequality(read_csv(path), 2)
 
 
 def _member(tmp_path):
@@ -276,9 +286,9 @@ def _awkward_path(tmp_path):
 class TestReportBytes:
     """check-class --out writes exactly json.dumps(payload, indent=2) + "\\n"."""
 
-    @pytest.mark.parametrize("case", [_float_tent, _exact_tent, _sampled_tuples, _member, _huge_values, _huge_exact,
-                                      _awkward_path],
-                             ids=["float-tent", "exact-tent", "tuples", "member", "huge-values", "huge-exact",
+    @pytest.mark.parametrize("case", [_float_tent, _exact_tent, _sampled_tuples, _pairs, _member, _huge_values,
+                                      _huge_exact, _awkward_path],
+                             ids=["float-tent", "exact-tent", "tuples", "pairs", "member", "huge-values", "huge-exact",
                                   "awkward-path"])
     def test_report_equals_json_dumps(self, capsys, tmp_path, case):
         fn, klass, extra, violations = case(tmp_path)
@@ -406,6 +416,11 @@ class TestProfile:
     def test_group_past_cap_is_config_error(self, capsys):
         assert main(["profile", "--group", "Z1000000", "--s", "1"]) == 2
         assert capsys.readouterr().err == "error: order 1000000 exceeds exhaustive-search cap 32\n"
+
+    def test_huge_group_refused_before_building(self, capsys):
+        # at order 10**12 a refusal after the shift tables were built would be a MemoryError
+        assert main(["profile", "--group", "Z1000000000000", "--s", "1"]) == 2
+        assert capsys.readouterr().err == "error: order 1000000000000 exceeds exhaustive-search cap 32\n"
 
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "p.csv"
