@@ -65,8 +65,9 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
     """Load catalog entries from JSON (the built-in catalog by default).
 
     The file is outside input: a catalog without entries, an entry that
-    lacks a key its kind needs, or a value of the wrong JSON type raises
-    ValueError naming the entry's index.
+    lacks a key its kind needs, a value of the wrong JSON type, or a group
+    or connection set that does not parse raises ValueError naming the
+    entry's index.
     """
     raw = json.loads((Path(path) if path else default_catalog_path()).read_text())
     items = raw.get("entries") if isinstance(raw, dict) else None
@@ -80,8 +81,12 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
             name = _get(i, item, "name")
             m = _get(i, item, "m") if "m" in item else None
             if "group" in item:
-                group = AbelianGroup.parse(_get(i, item, "group"))
-                s = ConnectionSet.from_text(group, _get(i, item, "s"))
+                gtext, stext = _get(i, item, "group"), _get(i, item, "s")
+                try:
+                    group = AbelianGroup.parse(gtext)
+                    s = ConnectionSet.from_text(group, stext)
+                except ValueError as exc:
+                    raise ValueError(f"catalog entry {i}: {exc}") from None
                 entries.append(CatalogEntry(name, group=group, s=s, m=m))
             elif "digraph" in item:
                 d = _get(i, item, "digraph")

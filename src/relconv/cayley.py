@@ -118,19 +118,25 @@ class ConnectionSet:
 
     @classmethod
     def from_text(cls, group: AbelianGroup, text: str) -> "ConnectionSet":
-        """Parse '(1,0),(0,1)', bare '1,5' (rank-1 groups), or 'basis'."""
+        """Parse '(1,0),(0,1)', bare '1,5' (rank-1 groups), or 'basis'; each field is an integer literal."""
         text = text.strip()
         if text.lower() == "basis":
             return cls.basis(group)
+
+        def field(t: str) -> int:
+            try:
+                return int(t)
+            except ValueError:
+                raise ValueError(f"cannot parse connection-set field {t.strip()!r} in {text!r}") from None
+
         if "(" in text:
             tuples = re.findall(r"\(([^()]*)\)", text)
             if not tuples:
                 raise ValueError(f"cannot parse connection set {text!r}")
-            coords = [tuple(int(t) for t in grp.split(",") if t.strip() != "") for grp in tuples]
-            return cls.from_coords(group, coords)
+            return cls.from_coords(group, [tuple(map(field, grp.split(","))) for grp in tuples])
         if len(group.factors) != 1:
             raise ValueError(f"bare integers only name elements of rank-1 groups: {text!r}")
-        return cls.from_coords(group, [(int(t),) for t in text.split(",")])
+        return cls.from_coords(group, [(field(t),) for t in text.split(",")])
 
     def describe(self) -> str:
         return ",".join("(" + ",".join(map(str, self.group.coords(e))) + ")" for e in self.elements)

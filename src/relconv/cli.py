@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import warnings
@@ -224,6 +225,9 @@ def _cmd_counterexample(args) -> int:
     return 0
 
 
+# built on first use and shared by later main calls: parse_args returns a
+# fresh Namespace each time and no default is mutable, so they share nothing else
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")

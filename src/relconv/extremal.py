@@ -65,11 +65,12 @@ class MajorantValue:
     branch: int
 
 
-def _select_branch(d: Fraction) -> int:
-    # smallest k >= 1 with branch_point(k) <= d; ties keep the lower branch
+def _select_branch(num: int, den: int) -> int:
+    """Smallest k >= 1 with branch_point(k) <= num/den (den > 0), capped at
+    default_branch_cap(); ties keep the lower branch.  Compared in integers."""
     cap = default_branch_cap()
     k = 1
-    while k < cap and branch_point(k) > d:
+    while k < cap and (b := branch_point(k)).numerator * den > num * b.denominator:
         k += 1
     return k
 
@@ -88,7 +89,7 @@ def majorant(x: Real) -> MajorantValue:
     d = min(xq, 1 - xq)
     if d == 0:
         return MajorantValue(0.0, 2)
-    k = _select_branch(d)
+    k = _select_branch(d.numerator, d.denominator)
     return MajorantValue(k * float(d) ** (1.0 - 1.0 / k), k)
 
 

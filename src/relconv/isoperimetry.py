@@ -35,7 +35,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,7 +47,7 @@ from .cayley import (
     _warn_caller,
     max_order,
 )
-from .extremal import majorant
+from .extremal import _select_branch
 
 # Largest graph the exhaustive search accepts: 2^31 identity-containing
 # subsets of a Cayley digraph, 2^32 subsets of an arc list.
@@ -239,9 +238,11 @@ def _bound(order: int, m: int, n: int, mb: int) -> tuple[float, bool]:
     (m*mb)**k < k**k * d**(k-1) * order: an integer test, with no tolerance.
     """
     d = min(n, order - n)
-    mv = majorant(Fraction(d, order))
-    k = mv.branch
-    return (order / m) * mv.value, (m * mb) ** k < k**k * d ** (k - 1) * order
+    if d == 0:  # E(0) = 0, and every k >= 2 attains it (see majorant)
+        return 0.0, False
+    k = _select_branch(d, order)
+    # int / int rounds correctly, so the value is majorant(Fraction(d, order))'s bit for bit
+    return (order / m) * (k * (d / order) ** (1 - 1 / k)), (m * mb) ** k < k**k * d ** (k - 1) * order
 
 
 def _report(group: str, connection_set: str, order: int, m: int | None, layers, cayley: bool) -> ProfileReport:

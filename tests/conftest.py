@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from relconv.cayley import AbelianGroup, ConnectionSet, GenericDigraph, VertexSet, edge_boundary
-from relconv.extremal import parabola
+from relconv.extremal import branch_point, default_branch_cap, parabola
 from relconv.grid import GridFunction
 
 
@@ -87,3 +87,25 @@ def translate(group: AbelianGroup, a: VertexSet, g: int) -> VertexSet:
 def exact_parabola_grid(N: int) -> GridFunction:
     """4x(1-x) at x = i/N in exact Fractions."""
     return GridFunction(N, [parabola(Fraction(i, N)) for i in range(N + 1)], label="parabola")
+
+
+def reference_branch(d: Fraction) -> int:
+    """Smallest k >= 1 with branch_point(k) <= d, capped, compared as Fractions; ties keep the lower branch."""
+    k = 1
+    while k < default_branch_cap() and branch_point(k) > d:
+        k += 1
+    return k
+
+
+def reference_bound(order: int, m: int, n: int, mb: int) -> tuple[float, bool]:
+    """(order/m) * E(n/order) and whether mb lies below it, with E evaluated at the Fraction n/order.
+
+    The branch is chosen by reference_branch, the value is k * float(d)**(1 - 1/k)
+    with E(0) = 0 on branch 2, and the flag is the integer test
+    (m*mb)**k < k**k * d**(k-1) * order at d = min(n, order - n).
+    """
+    d = min(n, order - n)
+    x = Fraction(d, order)
+    k = reference_branch(x) if d else 2
+    value = k * float(x) ** (1.0 - 1.0 / k) if d else 0.0
+    return (order / m) * value, (m * mb) ** k < k**k * d ** (k - 1) * order

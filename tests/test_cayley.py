@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -144,6 +145,23 @@ class TestConnectionSet:
         assert ConnectionSet.from_text(z6, "1,5").elements == (1, 5)
         with pytest.raises(ValueError):
             ConnectionSet.from_text(g, "1,5")
+
+    @pytest.mark.parametrize("group, text, bad", [
+        ([4], "(1),(x)", "x"),
+        ([4], "1.5", "1.5"),
+        ([4], "1,,5", ""),
+        ([4], "1, x ", "x"),
+        ([2, 2], "(1,,0)", ""),
+        ([2, 2], "(1,0),(0,1,)", ""),
+    ], ids=["tuple-letter", "bare-decimal", "bare-empty", "bare-spaced", "tuple-empty", "tuple-trailing"])
+    def test_from_text_names_a_non_integer_field(self, group, text, bad):
+        with pytest.raises(ValueError, match=f"^cannot parse connection-set field {re.escape(repr(bad))} "
+                                             f"in {re.escape(repr(text.strip()))}$"):
+            ConnectionSet.from_text(AbelianGroup(group), text)
+
+    def test_from_text_fields_may_carry_spaces_and_signs(self):
+        g = AbelianGroup([4, 2])
+        assert ConnectionSet.from_text(g, " ( 1 , 0 ), (-1,+1) ").elements == ConnectionSet.from_text(g, "(1,0),(3,1)").elements
 
     def test_identity_flagged(self):
         g = AbelianGroup([4])

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import zipfile
@@ -413,6 +414,13 @@ class TestProfile:
             "warning: S=(0),(2) does not generate Z4; bound hypothesis unmet\n"
         )
 
+    @pytest.mark.parametrize("group, text, bad", [
+        ("Z4", "(1),(x)", "x"), ("Z4", "1.5", "1.5"), ("Z4", "1,,5", ""), ("Z2xZ2", "(1,,0)", ""),
+    ], ids=["letter", "decimal", "empty", "tuple-empty"])
+    def test_non_integer_s_field_is_named(self, capsys, group, text, bad):
+        assert main(["profile", "--group", group, "--s", text]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse connection-set field {bad!r} in {text!r}\n"
+
     def test_group_past_cap_is_config_error(self, capsys):
         assert main(["profile", "--group", "Z1000000", "--s", "1"]) == 2
         assert capsys.readouterr().err == "error: order 1000000 exceeds exhaustive-search cap 32\n"
@@ -505,6 +513,18 @@ class TestVerifyCatalog:
         assert err.startswith(f"error: catalog entry 1: {message}"), err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "x", "group": "Zq", "s": "(1)"}, "cannot parse group token 'Zq' in 'Zq'"),
+        ({"name": "x", "group": "Z4xZ2", "s": "(1)"}, "element (1,) has 1 coordinate(s), Z4xZ2 has rank 2"),
+        ({"name": "x", "group": "Z4", "s": "(1),(x)"}, "cannot parse connection-set field 'x' in '(1),(x)'"),
+    ], ids=["group-token", "s-rank", "s-field"])
+    def test_unparsable_entry_names_its_index(self, capsys, tmp_path, entry, message):
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps({"entries": [{"name": "Z4", "group": "Z4", "s": "(1)"}, entry]}))
+        assert main(["verify-catalog", "--catalog", str(cat), "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == f"error: catalog entry 1: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
+
     def test_repeated_warning_prints_each_time(self, capsys, tmp_path):
         cat = tmp_path / "cat.json"
         entry = {"name": "Z8", "group": "Z8", "s": "(2)"}
@@ -548,6 +568,42 @@ class TestCounterexample:
         code, out = run(capsys, "counterexample-s3")
         assert code == 0
         assert out.strip() == "2 < 2.449489742783178"
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; calls share nothing else."""
+
+    def test_report_and_seed_do_not_carry_over(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["check-class", "--fn", "builtin:parabola", "--class", "F", "--n", "8"]
+        report = tmp_path / "r.json"
+        assert main([*argv, "--report", "r.json", "--seed", "17"]) == 0
+        assert json.loads(report.read_text())["config"]["seed"] == 17
+        report.unlink()
+        assert main(argv) == 0
+        assert not report.exists()
+        assert main([*argv, "--out", "o.json"]) == 0
+        assert json.loads((tmp_path / "o.json").read_text())["config"]["seed"] == 0
+
+    def test_usage_error_leaves_the_next_call_intact(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["eval-f"])
+        assert ei.value.code == 2
+        assert "the following arguments are required: --x" in capsys.readouterr().err
+        assert run(capsys, "eval-f", "--x", "1/6") == (0, "F(1/6) = 0.816496580927726  (k = 2)\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check-class", "--help"]], ids=["top", "check-class"])
+    def test_help_matches_a_fresh_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(relconv.__file__).parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "relconv", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: relconv"), proc.stderr
+        for _ in range(2):
+            with pytest.raises(SystemExit) as ei:
+                main(argv)
+            assert ei.value.code == 0
+            assert capsys.readouterr().out == proc.stdout
 
 
 def test_usage_error_exit_code():

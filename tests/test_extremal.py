@@ -21,7 +21,7 @@ from relconv.extremal import (
 from relconv.convexity import check_almost_convex
 from relconv.grid import _triple_rows
 
-from conftest import exact_parabola_grid
+from conftest import exact_parabola_grid, reference_branch
 
 
 def brute_majorant(x: float, kmax: int = 200) -> float:
@@ -118,6 +118,20 @@ class TestMajorant:
             mv = majorant(x)
             d = Fraction(min(x, 1.0 - x))
             assert branch_point(mv.branch) <= d <= branch_point(mv.branch - 1)
+
+    def test_integer_selector_matches_fraction_oracle_at_branch_points(self):
+        # each branch point, and one unit either side over its denominator:
+        # ties and the point just above keep branch k, the point just below
+        # takes a higher one (at k = 1 it is 0/4, so the cap)
+        cap = default_branch_cap()
+        for k in range(1, cap + 1):
+            b = branch_point(k)
+            for step in (-1, 0, 1):
+                num = b.numerator + step
+                got = extremal._select_branch(num, b.denominator)
+                assert got == reference_branch(Fraction(num, b.denominator)), (k, step)
+                assert got > k if step < 0 and k < cap else got == k, (k, step)
+        assert extremal._select_branch(0, 1) == reference_branch(Fraction(0)) == cap
 
     def test_matches_bruteforce_on_grid(self):
         xs = np.linspace(0, 1, 1001)

@@ -28,7 +28,7 @@ from relconv.isoperimetry import (
     six_cycle_counterexample,
 )
 
-from conftest import digraph_boundary, min_boundary_unrestricted
+from conftest import digraph_boundary, min_boundary_unrestricted, reference_bound
 
 
 def _search_started(w):
@@ -127,6 +127,16 @@ class TestLowerBound:
                     for mb in range(max(0, math.floor(bound) - 1), math.ceil(bound) + 2):
                         below = all((m * mb) ** k < k**k * d ** (k - 1) * order for k in range(1, cap + 1))
                         assert _bound(order, m, n, mb) == (bound, below), (order, m, n, mb)
+
+    def test_bound_matches_fraction_oracle_on_every_cell(self):
+        # the integer branch choice against one made in Fractions: equal
+        # floats, bit for bit, and equal flags
+        for order in range(2, 33):
+            for m in sorted({2, 3, order}):
+                for n in range(order + 1):
+                    for mb in sorted({0, 1, 2, order}):
+                        got, want = _bound(order, m, n, mb), reference_bound(order, m, n, mb)
+                        assert got == want and repr(got[0]) == repr(want[0]), (order, m, n, mb)
 
 
 class TestProfile:
