@@ -130,9 +130,9 @@ class ConnectionSet:
                 raise ValueError(f"cannot parse connection-set field {t.strip()!r} in {text!r}") from None
 
         if "(" in text:
-            tuples = re.findall(r"\(([^()]*)\)", text)
-            if not tuples:
+            if not re.fullmatch(r"\([^()]*\)(\s*,\s*\([^()]*\))*", text):
                 raise ValueError(f"cannot parse connection set {text!r}")
+            tuples = re.findall(r"\(([^()]*)\)", text)
             return cls.from_coords(group, [tuple(map(field, grp.split(","))) for grp in tuples])
         if len(group.factors) != 1:
             raise ValueError(f"bare integers only name elements of rank-1 groups: {text!r}")

@@ -205,12 +205,9 @@ def check_mean_inequality(f: GridFunction, m: int, samples: int = 100_000, seed:
         while have < samples:
             batch = max(4096, (samples - have) * (m + 1))
             draw = rng.integers(0, N + 1, size=(batch, m))
-            keep = draw[draw.sum(axis=1) % m == 0]
-            if have + len(keep) > samples:
-                keep = keep[: samples - have]
-            collected.append(keep)
-            have += len(keep)
-        xs = np.sort(np.vstack(collected), axis=1)
+            collected.append(draw[draw.sum(axis=1) % m == 0])
+            have += len(collected[-1])
+        xs = np.sort(np.vstack(collected)[:samples], axis=1)
     lhs = vals[sum(xs.T) // m]  # whole columns: xs.sum(axis=1) loops once per short row
     with np.errstate(over="ignore"):  # huge finite values give infinite gaps
         rhs = vals[xs].mean(axis=1) + (xs[:, -1] - xs[:, 0]) / N

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,40 +57,43 @@ def _branch_table() -> np.ndarray:
     return np.array([float(branch_point(k)) for k in range(default_branch_cap() + 1)])
 
 
-@dataclass(frozen=True)
-class MajorantValue:
+class MajorantValue(NamedTuple):
     """Evaluated majorant together with the branch attaining the minimum."""
 
     value: float
     branch: int
 
 
-def _select_branch(num: int, den: int) -> int:
-    """Smallest k >= 1 with branch_point(k) <= num/den (den > 0), capped at
-    default_branch_cap(); ties keep the lower branch.  Compared in integers."""
+def _majorant_at(num: int, den: int) -> tuple[float, int]:
+    """(E(d), k) at d = num/den, for 0 <= d <= 1/2 and den > 0.
+
+    k is the smallest k >= 1 with branch_point(k) <= d, capped at
+    default_branch_cap() and chosen in integers; ties keep the lower branch.
+    num / den rounds as float(Fraction(num, den)) does, reduced or not.  At
+    d = 0 the value is 0 and k is 2 (every k >= 2 attains the minimum there,
+    while the k = 1 term is the constant 1).
+    """
+    if num == 0:
+        return 0.0, 2
     cap = default_branch_cap()
     k = 1
     while k < cap and (b := branch_point(k)).numerator * den > num * b.denominator:
         k += 1
-    return k
+    return k * (num / den) ** (1 - 1 / k), k
 
 
 def majorant(x: Real) -> MajorantValue:
     """Evaluate min over 1 <= k <= default_branch_cap() of k * d(x)^(1 - 1/k).
 
     Branch selection compares d(x) against the exact branch points, so the
-    reported branch is the smallest minimizer.  At x in {0, 1} the value is 0
-    and the branch is reported as 2 (every k >= 2 attains the minimum there,
-    while the k = 1 term is the constant 1).
+    reported branch is the smallest minimizer; at x in {0, 1} it is 2 (see
+    _majorant_at).
     """
     if not 0 <= x <= 1:  # before Fraction(float(x)), which raises on inf and nan
         raise ValueError(f"argument must lie in [0, 1], got {x}")
     xq = Fraction(float(x)) if not isinstance(x, (Fraction, int)) else Fraction(x)
     d = min(xq, 1 - xq)
-    if d == 0:
-        return MajorantValue(0.0, 2)
-    k = _select_branch(d.numerator, d.denominator)
-    return MajorantValue(k * float(d) ** (1.0 - 1.0 / k), k)
+    return MajorantValue(*_majorant_at(d.numerator, d.denominator))
 
 
 def majorant_values(x) -> np.ndarray:

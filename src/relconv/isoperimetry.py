@@ -47,7 +47,7 @@ from .cayley import (
     _warn_caller,
     max_order,
 )
-from .extremal import _select_branch
+from .extremal import _majorant_at
 
 # Largest graph the exhaustive search accepts: 2^31 identity-containing
 # subsets of a Cayley digraph, 2^32 subsets of an arc list.
@@ -233,16 +233,13 @@ def _exponent(group: AbelianGroup, s: ConnectionSet, m_override: int | None) -> 
 def _bound(order: int, m: int, n: int, mb: int) -> tuple[float, bool]:
     """(order/m) * E(n/order), the bound on the boundary of an n-subset, and whether mb lies below it.
 
-    With d = min(n, order - n) and k the branch of E at d/order, the bound is
-    (order/m) * k * (d/order)**(1 - 1/k), so mb lies below it exactly when
+    With d = min(n, order - n) and (e, k) = _majorant_at(d, order), the bound
+    is (order/m) * e, so mb lies below it exactly when
     (m*mb)**k < k**k * d**(k-1) * order: an integer test, with no tolerance.
     """
     d = min(n, order - n)
-    if d == 0:  # E(0) = 0, and every k >= 2 attains it (see majorant)
-        return 0.0, False
-    k = _select_branch(d, order)
-    # int / int rounds correctly, so the value is majorant(Fraction(d, order))'s bit for bit
-    return (order / m) * (k * (d / order) ** (1 - 1 / k)), (m * mb) ** k < k**k * d ** (k - 1) * order
+    e, k = _majorant_at(d, order)
+    return (order / m) * e, (m * mb) ** k < k**k * d ** (k - 1) * order
 
 
 def _report(group: str, connection_set: str, order: int, m: int | None, layers, cayley: bool) -> ProfileReport:

@@ -7,6 +7,7 @@ hypothesis tests can call them without a function-scoped fixture.
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relconv.cayley import AbelianGroup, ConnectionSet, GenericDigraph, VertexSet, edge_boundary
@@ -97,15 +98,46 @@ def reference_branch(d: Fraction) -> int:
     return k
 
 
+def reference_majorant(x) -> tuple[float, int]:
+    """(E(x), branch) with the branch chosen by reference_branch on the Fraction d(x) = min(x, 1 - x).
+
+    The value is k * float(d)**(1 - 1/k), and E(0) = 0 is reported on branch 2;
+    a float x is read as its exact Fraction.
+    """
+    xq = Fraction(x) if isinstance(x, (Fraction, int)) else Fraction(float(x))
+    d = min(xq, 1 - xq)
+    if d == 0:
+        return 0.0, 2
+    k = reference_branch(d)
+    return k * float(d) ** (1.0 - 1.0 / k), k
+
+
 def reference_bound(order: int, m: int, n: int, mb: int) -> tuple[float, bool]:
     """(order/m) * E(n/order) and whether mb lies below it, with E evaluated at the Fraction n/order.
 
-    The branch is chosen by reference_branch, the value is k * float(d)**(1 - 1/k)
-    with E(0) = 0 on branch 2, and the flag is the integer test
-    (m*mb)**k < k**k * d**(k-1) * order at d = min(n, order - n).
+    The value and branch k come from reference_majorant, and the flag is the
+    integer test (m*mb)**k < k**k * d**(k-1) * order at d = min(n, order - n).
     """
     d = min(n, order - n)
-    x = Fraction(d, order)
-    k = reference_branch(x) if d else 2
-    value = k * float(x) ** (1.0 - 1.0 / k) if d else 0.0
+    value, k = reference_majorant(Fraction(d, order))
     return (order / m) * value, (m * mb) ** k < k**k * d ** (k - 1) * order
+
+
+def reference_mean_tuples(N: int, m: int, samples: int, seed: int) -> np.ndarray:
+    """The m-tuples check_mean_inequality draws for m >= 3, each batch truncated as it is kept.
+
+    Batches of max(4096, (samples - have) * (m + 1)) seeded draws from 0..N,
+    kept where the sum is divisible by m, until `samples` tuples are held;
+    each row is sorted.
+    """
+    rng = np.random.default_rng(seed)
+    collected, have = [], 0
+    while have < samples:
+        batch = max(4096, (samples - have) * (m + 1))
+        draw = rng.integers(0, N + 1, size=(batch, m))
+        keep = draw[draw.sum(axis=1) % m == 0]
+        if have + len(keep) > samples:
+            keep = keep[: samples - have]
+        collected.append(keep)
+        have += len(keep)
+    return np.sort(np.vstack(collected), axis=1)

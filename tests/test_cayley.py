@@ -163,6 +163,18 @@ class TestConnectionSet:
         g = AbelianGroup([4, 2])
         assert ConnectionSet.from_text(g, " ( 1 , 0 ), (-1,+1) ").elements == ConnectionSet.from_text(g, "(1,0),(3,1)").elements
 
+    @pytest.mark.parametrize("text", ["(1),garbage", "(1)(3)x", "(1)(3)", "(1),(3),", "x(1)", "(1", "((1))"],
+                             ids=["trailing-word", "trailing-letter", "juxtaposed", "trailing-comma", "leading-letter",
+                                  "unclosed", "nested"])
+    def test_from_text_refuses_text_outside_the_tuples(self, text):
+        with pytest.raises(ValueError, match=f"^cannot parse connection set {re.escape(repr(text))}$"):
+            ConnectionSet.from_text(AbelianGroup([4]), text)
+
+    @pytest.mark.parametrize("element", [4, -1])
+    def test_element_out_of_range(self, element):
+        with pytest.raises(ValueError, match="^connection-set element out of range for Z4$"):
+            ConnectionSet(AbelianGroup([4]), [element])
+
     def test_identity_flagged(self):
         g = AbelianGroup([4])
         with pytest.warns(UserWarning, match="identity"):

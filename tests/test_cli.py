@@ -615,18 +615,29 @@ def test_usage_error_exit_code():
     assert ei.value.code == 2
 
 
-@pytest.mark.parametrize("argv, catalog", [
-    (["profile", "--group", "Z4", "--s", "(1)", "--out", "{tmp}/missing/p.json"], None),
-    (["estimate-sup", "--p", "1", "--n", "8", "--csv", "{tmp}/missing/s.csv"], None),
-    (["check-class", "--fn", "builtin:tent:1/0,1", "--class", "F", "--n", "8"], None),
-    (["verify-catalog", "--catalog", "{tmp}/cat.json", "--out", "{tmp}/c.csv"], {"entries": []}),
-    (["verify-catalog", "--catalog", "{tmp}/cat.json"], {"entries": [{"group": "Z4", "s": "(1)"}]}),
-    (["check-class", "--fn", "{tmp}/exact.csv", "--class", "F"], None),
-    (["check-class", "--fn", "{tmp}/mixed.csv", "--class", "F0"], None),
-    (["check-class", "--fn", "builtin:tent:1/2,1e400", "--class", "strong", "--n", "4"], None),
+@pytest.mark.parametrize("argv, catalog, message", [
+    (["profile", "--group", "Z4", "--s", "(1)", "--out", "{tmp}/missing/p.json"], None, "No such file or directory"),
+    (["estimate-sup", "--p", "1", "--n", "8", "--csv", "{tmp}/missing/s.csv"], None, "No such file or directory"),
+    (["check-class", "--fn", "builtin:tent:1/0,1", "--class", "F", "--n", "8"], None, "Fraction(1, 0)"),
+    (["verify-catalog", "--catalog", "{tmp}/cat.json", "--out", "{tmp}/c.csv"], {"entries": []},
+     "catalog has no entries"),
+    (["verify-catalog", "--catalog", "{tmp}/cat.json"], {"entries": [{"group": "Z4", "s": "(1)"}]},
+     "catalog entry 0 lacks key 'name'"),
+    (["check-class", "--fn", "{tmp}/exact.csv", "--class", "F"], None, "grid value at index 1 is not finite"),
+    (["check-class", "--fn", "{tmp}/mixed.csv", "--class", "F0"], None, "grid value at index 1 is not finite"),
+    (["check-class", "--fn", "builtin:tent:1/2,1e400", "--class", "strong", "--n", "4"], None,
+     "grid value at index 1 is not finite"),
+    (["verify-catalog", "--catalog", "{tmp}/cat.json"], {"entries": [{"name": "x", "group": "Z4", "s": "(1),garbage"}]},
+     "catalog entry 0: cannot parse connection set '(1),garbage'"),
+    (["verify-catalog", "--catalog", "{tmp}/cat.json"], {"entries": [1]}, "catalog entry 0 is not an object"),
+    (["verify-catalog", "--catalog", "{tmp}/cat.json"], {"entries": [{"name": "x"}]},
+     "catalog entry 0 ('x') has neither group nor digraph"),
+    (["check-class", "--fn", "builtin:tent:0,1", "--class", "F", "--n", "8"], None,
+     "apex abscissa must lie in (0, 1), got 0"),
 ], ids=["unwritable-out", "unwritable-csv", "zero-denominator", "empty-catalog", "nameless-entry",
-        "exact-csv-past-float-range", "mixed-csv-past-float-range", "tent-past-float-range"])
-def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv, catalog):
+        "exact-csv-past-float-range", "mixed-csv-past-float-range", "tent-past-float-range",
+        "s-outside-tuples", "entry-not-object", "entry-of-no-kind", "tent-apex-at-endpoint"])
+def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv, catalog, message):
     if catalog is not None:
         (tmp_path / "cat.json").write_text(json.dumps(catalog))
     # one value past the float range, among exact values or among floats
@@ -636,7 +647,7 @@ def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv,
     code = main([a.format(tmp=tmp_path) for a in argv])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,7 +22,7 @@ from relconv.convexity import (
 from relconv.extremal import majorant_grid, majorant_values, parabola_grid
 from relconv.grid import GridFunction
 
-from conftest import exact_parabola_grid
+from conftest import exact_parabola_grid, reference_mean_tuples
 
 
 def scaled(f: GridFunction, t: float) -> GridFunction:
@@ -258,6 +258,14 @@ def scaled_random_grids(N: int) -> list[GridFunction]:
     return grids + [GridFunction(N, bumped), GridFunction(2, HUGE_VALUES)]
 
 
+def scalar_mean_sides(v: list, xs, m: int, N: int) -> tuple[float, float]:
+    """(lhs, rhs) of the m-point mean inequality at the index tuple xs, one float at a time."""
+    total = v[xs[0]]  # numpy's row mean adds fewer than 8 values in order
+    for x in xs[1:]:
+        total += v[x]
+    return v[sum(xs) // m], total / m + (xs[-1] - xs[0]) / N
+
+
 class TestMeanInequality:
     @pytest.mark.parametrize("N", [2, 3, 17, 64, 255])
     def test_pairs_match_per_distance_oracle(self, N):
@@ -272,12 +280,25 @@ class TestMeanInequality:
         for seed, f in enumerate(scaled_random_grids(N)):
             v = f.floats().tolist()
             for rec in check_mean_inequality(f, m, samples=2000, seed=seed):
-                total = v[rec.xs[0]]  # numpy's row mean adds fewer than 8 values in order
-                for x in rec.xs[1:]:
-                    total += v[x]
-                rhs = total / m + (rec.xs[-1] - rec.xs[0]) / f.N
-                assert (rec.lhs.hex(), rec.rhs.hex()) == (v[sum(rec.xs) // m].hex(), rhs.hex()), rec
-                assert rec == (rec.xs, v[sum(rec.xs) // m], rhs)
+                lhs, rhs = scalar_mean_sides(v, rec.xs, m, f.N)
+                assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex()), rec
+                assert rec == (rec.xs, lhs, rhs)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("N, samples", [(8, 1), (16, 2), (64, 50), (240, 2000)])
+    def test_sampled_tuples_match_batchwise_truncation(self, N, m, samples):
+        # the records and max_slack of the oracle's tuples, recomputed one tuple at a time
+        f = majorant_grid(N).floats() + np.random.default_rng(N).uniform(0, 0.5, N + 1)
+        v = f.tolist()
+        for seed in range(3):
+            out = check_mean_inequality(GridFunction(N, f), m, samples=samples, seed=seed)
+            records, worst = [], -math.inf
+            for xs in reference_mean_tuples(N, m, samples, seed).tolist():
+                lhs, rhs = scalar_mean_sides(v, xs, m, N)
+                worst = max(worst, lhs - rhs)
+                if lhs - rhs > SLACK_TOL:
+                    records.append((tuple(xs), lhs, rhs))
+            assert (list(out), out.max_slack) == (sorted(records), worst), seed
 
     def test_majorant_passes_exhaustive_pairs(self):
         assert not check_mean_inequality(majorant_grid(128), 2)
@@ -353,6 +374,11 @@ class TestTent:
         triples = {(v.a, v.b, v.c) for v in check_almost_convex_anchored(t)}
         assert (0, 2, 4) in triples
 
+    @pytest.mark.parametrize("x0", [0, 1])
+    def test_apex_at_an_endpoint_rejected(self, x0):
+        with pytest.raises(ValueError, match=rf"^apex abscissa must lie in \(0, 1\), got {x0}$"):
+            make_tent(x0, 1, 8)
+
     def test_offgrid_apex_rejected(self):
         with pytest.raises(ValueError):
             make_tent(Fraction(1, 3), 1, 8)
@@ -381,6 +407,8 @@ class TestUnderParabola:
             check_under_parabola(GridFunction(16, x**2))  # convex
         with pytest.raises(ValueError):
             check_under_parabola(GridFunction(16, np.full(17, 0.5)))  # endpoints
+        with pytest.raises(ValueError, match="^endpoints must be exactly zero$"):
+            check_under_parabola(GridFunction(4, [Fraction(1, 2)] * 5))
         # 2 * 0.9e308 overflows; the middle second difference is +1.78e308
         huge = [0.0, 1.79e308, 0.9e308, 1.79e308, 0.0]
         for f in (GridFunction(4, [Fraction(x) for x in huge]), GridFunction(4, huge)):
@@ -509,6 +537,12 @@ class TestSampleConcave:
         for seed in range(1000):
             f = sample_concave(128, seed, cap=cap)
             assert np.all(f.floats() <= mg + 1e-9)
+
+    @pytest.mark.parametrize("N", [1, 0])
+    def test_resolution_below_two_rejected(self, N):
+        # N = 0 would otherwise take the mean of an empty slope array
+        with pytest.raises(ValueError, match=f"^grid resolution must be >= 2, got {N}$"):
+            sample_concave(N, 0)
 
     def test_cap_resolution_mismatch(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from relconv.extremal import (
 from relconv.convexity import check_almost_convex
 from relconv.grid import _triple_rows
 
-from conftest import exact_parabola_grid, reference_branch
+from conftest import exact_parabola_grid, reference_majorant
 
 
 def brute_majorant(x: float, kmax: int = 200) -> float:
@@ -122,16 +122,33 @@ class TestMajorant:
     def test_integer_selector_matches_fraction_oracle_at_branch_points(self):
         # each branch point, and one unit either side over its denominator:
         # ties and the point just above keep branch k, the point just below
-        # takes a higher one (at k = 1 it is 0/4, so the cap)
+        # takes a higher one; 0/4 (k = 1) and 0/1 are E(0), on branch 2
         cap = default_branch_cap()
         for k in range(1, cap + 1):
             b = branch_point(k)
             for step in (-1, 0, 1):
                 num = b.numerator + step
-                got = extremal._select_branch(num, b.denominator)
-                assert got == reference_branch(Fraction(num, b.denominator)), (k, step)
-                assert got > k if step < 0 and k < cap else got == k, (k, step)
-        assert extremal._select_branch(0, 1) == reference_branch(Fraction(0)) == cap
+                got = extremal._majorant_at(num, b.denominator)
+                assert got == reference_majorant(Fraction(num, b.denominator)), (k, step)
+                assert got[1] > k if step < 0 and k < cap else got[1] == k, (k, step)
+        assert extremal._majorant_at(0, 1) == reference_majorant(0) == (0.0, 2)
+
+    def test_matches_fraction_oracle_bit_for_bit(self):
+        xs: list = [Fraction(i, n) for n in range(1, 65) for i in range(n + 1)]
+        xs += np.random.default_rng(23).random(2000).tolist()
+        xs += [0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), 5e-324, 1 - 2**-53, 2**-60, 2**-70, -0.0]
+        for k in range(1, default_branch_cap() + 1):
+            b = branch_point(k)
+            xs += [Fraction(b.numerator + step, b.denominator) for step in (-1, 0, 1)]
+        for x in xs:
+            mv = majorant(x)
+            want, branch = reference_majorant(x)
+            assert (repr(mv.value), mv.branch) == (repr(want), branch), x
+
+    def test_value_is_a_named_tuple(self):
+        mv = majorant(Fraction(1, 6))
+        assert mv == (mv.value, mv.branch) == tuple(mv)
+        assert repr(mv) == "MajorantValue(value=0.816496580927726, branch=2)"
 
     def test_matches_bruteforce_on_grid(self):
         xs = np.linspace(0, 1, 1001)

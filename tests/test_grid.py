@@ -53,6 +53,14 @@ def test_csv_short_row_rejected(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("body", ["", "0,0/2,0.0\n2,2/2,0.0\n1,1/2,0.5\n"], ids=["header-only", "out-of-order"])
+def test_csv_rows_must_enumerate_the_grid(tmp_path, body):
+    path = tmp_path / "rows.csv"
+    path.write_text("i,x,value\n" + body)
+    with pytest.raises(ValueError, match=r"^CSV rows must enumerate grid indices 0\.\.N in order$"):
+        read_csv(path)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), Fraction(10**400)],
                          ids=["nan", "inf", "-inf", "exact-1e400"])
 def test_non_finite_values_rejected(bad):

@@ -105,6 +105,12 @@ class TestLowerBound:
         g, s = group_and_set("Z4", "(1)")
         assert boundary_lower_bound(g, s, 0) == 0.0
 
+    @pytest.mark.parametrize("n", [-1, 5])
+    def test_cardinality_out_of_range(self, n):
+        g, s = group_and_set("Z4", "(1)")
+        with pytest.raises(ValueError, match=f"^cardinality {n} out of range for group order 4$"):
+            boundary_lower_bound(g, s, n)
+
     def test_invalid_override_rejected(self):
         g, s = group_and_set("Z3xZ3", "basis")
         with pytest.raises(ValueError):
@@ -363,6 +369,16 @@ class TestCatalog:
         ]}))
         with pytest.raises(ValueError, match="cap"):
             verify_catalog(load_catalog(path))
+
+    @pytest.mark.parametrize("entries, message", [
+        ([1], r"catalog entry 0 is not an object"),
+        ([{"name": "x"}], r"catalog entry 0 \('x'\) has neither group nor digraph"),
+    ], ids=["not-an-object", "of-no-kind"])
+    def test_entry_shape_refused(self, tmp_path, entries, message):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"entries": entries}))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_catalog(path)
 
     def test_small_catalog_verification(self, tmp_path):
         path = tmp_path / "cat.json"
