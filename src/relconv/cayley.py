@@ -76,6 +76,9 @@ class AbelianGroup:
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianGroup) and self.factors == other.factors
 
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
     @classmethod
     def parse(cls, text: str) -> "AbelianGroup":
         """Parse group strings like 'Z4xZ2' or '4x2'."""
@@ -212,6 +215,8 @@ class GenericDigraph:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a digraph needs at least one vertex, got n = {self.n}")
         object.__setattr__(self, "arcs", tuple((int(u), int(v)) for u, v in self.arcs))
         for u, v in self.arcs:
             if not (0 <= u < self.n and 0 <= v < self.n):

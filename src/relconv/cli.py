@@ -72,16 +72,16 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _records_json(records: list) -> str:
-    if isinstance(records[0], TupleViolation):  # one m per list
+    if isinstance(records[0], TupleViolation):  # one m per list, of ints and floats only
         xs = ",\n".join(["        %d"] * len(records[0][0]))
         row = '    {\n      "xs": [\n' + xs + '\n      ],\n      "lhs": %r,\n      "rhs": %r\n    }'
-        records = [(*x, lo, hi) for x, lo, hi in records]
+        values = tuple(chain.from_iterable([(*x, lo, hi) for x, lo, hi in records]))
     else:
         row = _VIOLATION_ROW
-    try:
-        values = tuple(map(float, chain.from_iterable(records)))
-    except OverflowError:  # an exact value past the float range
-        values = tuple(map(_float, chain.from_iterable(records)))
+        try:
+            values = tuple(map(float, chain.from_iterable(records)))
+        except OverflowError:  # an exact value past the float range
+            values = tuple(map(_float, chain.from_iterable(records)))
     text = ",\n".join([row] * len(records)) % values
     if "inf" in text or "nan" in text:  # no key or finite repr holds either
         text = text.replace("inf", "Infinity").replace("nan", "NaN")

@@ -203,11 +203,11 @@ def estimate_sup(
     have changed since row b was last read.  With g[w-1] the last value
     this sweep has written and g[last-1] the last value the previous sweep
     wrote: when last > b + 1 some column c > b changed, and the whole row
-    is read; otherwise, when w > 1, only its rows a < w are read (a row
-    prefix, see grid._triple_rows); otherwise the row is skipped.  No entry
-    ever increases, an unread entry keeps its bits, and g[b] is at most
-    every entry of row b as last read, so each update is a full sweep's bit
-    for bit.
+    is read; otherwise, when w > 1, only its rows 0 < a < w are read (see
+    grid._triple_rows; the a = 0 row's inputs g[0] and g[c], c > b, have not
+    changed); otherwise the row is skipped.  No entry ever increases, an
+    unread entry keeps its bits, and g[b] is at most every entry of row b
+    as last read, so each update is a full sweep's bit for bit.
 
     Raises ValueError unless p is positive and finite, and ConvergenceError
     (carrying the last iterate) if max_iters sweeps do not reach tol.
@@ -248,8 +248,8 @@ def estimate_sup(
                 m = row(b).min()
                 read += b * (N - b)
             elif w > 1:
-                m = row(b, w).min()
-                read += w * (N - b)
+                m = row(b, slice(1, w)).min()
+                read += (w - 1) * (N - b)
             else:
                 continue
             if m < g[b]:

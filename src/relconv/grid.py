@@ -88,12 +88,12 @@ def _triple_rows(N: int, defect: Callable, v: np.ndarray) -> Callable:
         rhs = lam*v[a] + (1 - lam)*v[c] + defect
 
     evaluated in that order, through views of the tables, of v and of the
-    work buffers; the next call overwrites it.  row(b, rows), 1 <= rows <= b,
-    evaluates only its rows a < rows, entry for entry the same floats, and
-    returns that prefix.  Row b's views are made at its first call and kept,
-    so a caller that stops early pays only for the rows it read.  Every
-    call reads v when made, so a caller writing v[b] sees the update in row
-    b + 1.
+    work buffers; the next call overwrites it.  row(b, rows), rows a slice
+    of the rows a in 0..b-1, evaluates only those rows, entry for entry the
+    same floats, and returns them.  Row b's views are made at its first
+    call and kept, so a caller that stops early pays only for the rows it
+    read.  Every call reads v when made, so a caller writing v[b] sees the
+    update in row b + 1.
     """
     i = np.arange(N - 1, 0, -1)[:, None]
     j = np.arange(1, N)[None, :]
@@ -113,7 +113,7 @@ def _triple_rows(N: int, defect: Callable, v: np.ndarray) -> Callable:
     tmp = np.empty(size)
     views: list = [None] * N  # views[b]: row b's views, made at its first call
 
-    def row(b: int, rows: int | None = None) -> np.ndarray:
+    def row(b: int, rows: slice | None = None) -> np.ndarray:
         if views[b] is None:
             sl = np.s_[N - 1 - b : N - 1, : N - b]
             shape = (b, N - b)
@@ -121,7 +121,7 @@ def _triple_rows(N: int, defect: Callable, v: np.ndarray) -> Callable:
                         buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape))
         lb, rb, xb, va, vc, rhs, part = views[b]
         if rows is not None:
-            lb, rb, xb, va, rhs, part = (x[:rows] for x in (lb, rb, xb, va, rhs, part))
+            lb, rb, xb, va, rhs, part = (x[rows] for x in (lb, rb, xb, va, rhs, part))
         np.multiply(lb, va, out=rhs)
         np.multiply(rb, vc, out=part)
         rhs += part

@@ -128,7 +128,10 @@ def reference_mean_tuples(N: int, m: int, samples: int, seed: int) -> np.ndarray
 
     Batches of max(4096, (samples - have) * (m + 1)) seeded draws from 0..N,
     kept where the sum is divisible by m, until `samples` tuples are held;
-    each row is sorted.
+    each row is sorted.  This is the batch policy the sampler used before it
+    drew fixed blocks of about 2**16 values, kept unchanged as the reference:
+    the seeded stream does not depend on how it is split, so both keep the
+    same tuples.
     """
     rng = np.random.default_rng(seed)
     collected, have = [], 0

@@ -53,6 +53,15 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup([1, 2])
 
+    def test_equal_groups_hash_equal(self):
+        g = AbelianGroup([2, 3])
+        assert AbelianGroup.parse("Z2xZ3") == g
+        assert hash(AbelianGroup.parse("Z2xZ3")) == hash(g)
+        assert g != AbelianGroup([3, 2]) and g != AbelianGroup([6]) and g != (2, 3)
+        index = {g: "g", AbelianGroup([6]): "z6"}
+        assert index[AbelianGroup.parse("2x3")] == "g" and index[AbelianGroup.parse("Z6")] == "z6"
+        assert len({g, AbelianGroup([2, 3]), AbelianGroup([3, 2])}) == 2
+
 
 class TablesOracle:
     """Per-element coordinate list by repeated divmod, and its inverse dict: an oracle for place values."""
@@ -356,6 +365,9 @@ class TestGenericDigraph:
     def test_validation(self):
         with pytest.raises(ValueError):
             GenericDigraph(2, ((0, 2),))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"at least one vertex, got n = {n}$"):
+                GenericDigraph(n, ())
         d = GenericDigraph.bidirectional_cycle(6)
         with pytest.raises(ValueError):
             digraph_boundary(d, VertexSet(0, 5))

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -259,10 +260,23 @@ def scaled_random_grids(N: int) -> list[GridFunction]:
 
 
 def scalar_mean_sides(v: list, xs, m: int, N: int) -> tuple[float, float]:
-    """(lhs, rhs) of the m-point mean inequality at the index tuple xs, one float at a time."""
-    total = v[xs[0]]  # numpy's row mean adds fewer than 8 values in order
-    for x in xs[1:]:
-        total += v[x]
+    """(lhs, rhs) of the m-point mean inequality at the index tuple xs, one float at a time.
+
+    The sum is added as numpy's row mean adds it: fewer than 8 values in
+    order; else pairwise, eight running sums over the whole blocks of 8,
+    joined as a balanced tree, then the rest in order.
+    """
+    terms = [v[x] for x in xs]
+    if m < 8:
+        total, rest = terms[0], terms[1:]
+    else:
+        sums = terms[:8]
+        for i in range(8, m - m % 8, 8):
+            sums = [s + t for s, t in zip(sums, terms[i : i + 8])]
+        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
+        rest = terms[m - m % 8 :]
+    for t in rest:
+        total += t
     return v[sum(xs) // m], total / m + (xs[-1] - xs[0]) / N
 
 
@@ -284,7 +298,7 @@ class TestMeanInequality:
                 assert (rec.lhs.hex(), rec.rhs.hex()) == (lhs.hex(), rhs.hex()), rec
                 assert rec == (rec.xs, lhs, rhs)
 
-    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("m", [3, 5, 8, 12])
     @pytest.mark.parametrize("N, samples", [(8, 1), (16, 2), (64, 50), (240, 2000)])
     def test_sampled_tuples_match_batchwise_truncation(self, N, m, samples):
         # the records and max_slack of the oracle's tuples, recomputed one tuple at a time
@@ -299,6 +313,19 @@ class TestMeanInequality:
                 if lhs - rhs > SLACK_TOL:
                     records.append((tuple(xs), lhs, rhs))
             assert (list(out), out.max_slack) == (sorted(records), worst), seed
+
+    @pytest.mark.parametrize("m, samples", [(12, 20_000), (20, 5_000)])
+    def test_sampler_memory_is_linear_in_the_kept_tuples(self, m, samples):
+        # The kept tuples take samples*m int64 values.  Draws sized by
+        # samples*(m + 1) would take about m + 1 times that again.
+        f = majorant_grid(64)
+        tracemalloc.start()
+        try:
+            check_mean_inequality(f, m, samples, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * samples * m * 8, peak / (samples * m * 8)
 
     def test_majorant_passes_exhaustive_pairs(self):
         assert not check_mean_inequality(majorant_grid(128), 2)

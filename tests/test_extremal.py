@@ -296,25 +296,26 @@ class TestDirtySweeps:
     @pytest.mark.parametrize("N", [9, 40, 131])
     def test_row_prefix_equals_whole_row_prefix(self, N):
         # Rows are visited in random order and first called with a random
-        # prefix, so views are built out of order and by either form of call.
+        # slice of rows, so views are built out of order and by either form
+        # of call.
         rng = np.random.default_rng(N)
         v = np.empty(N + 1)
         spread = (np.arange(N + 1) / N) ** 1.5
         row = _triple_rows(N, lambda den, lam: spread[den], v)
         for b in rng.permutation(np.arange(1, N)).tolist():
             v[:] = rng.random(N + 1)
-            counts = rng.permutation(np.arange(1, b + 1)).tolist()
-            first = row(b, counts[0]).copy()
+            bounds = [sorted(rng.choice(b + 1, 2, replace=False).tolist()) for _ in range(b + 1)]
+            first = row(b, slice(*bounds[0])).copy()
             whole = row(b).copy()
             assert whole.shape == (b, N - b)
-            assert first.tobytes() == whole[: counts[0]].tobytes()
-            for rows in counts[1:]:
-                assert row(b, rows).tobytes() == whole[:rows].tobytes()
+            assert first.tobytes() == whole[slice(*bounds[0])].tobytes()
+            for lo, hi in bounds[1:]:
+                assert row(b, slice(lo, hi)).tobytes() == whole[lo:hi].tobytes()
 
     @pytest.mark.parametrize("p, N", [(1, 64), (1.5, 97)])
     def test_blocks_cover_every_changed_input(self, monkeypatch, p, N):
         # Each sweep visits every row once: it reads the whole row, reads a
-        # prefix of rows a < rows, or skips it.  The rows read must hold every
+        # prefix of rows 0 < a < w, or skips it.  The rows read must hold every
         # value of g that changed since the row was last read (g[b] itself is
         # no input of row b), and a skipped row must have no changed input.
         calls = []
@@ -361,7 +362,8 @@ class TestDirtySweeps:
                 skips += len(skipped)
                 skipped = []
                 if rows is not None:
-                    assert all(i < rows for i in changed(b, v)), (b, rows, changed(b, v))
+                    assert rows.start == 1, rows
+                    assert all(rows.start <= i < rows.stop for i in changed(b, v)), (b, rows, changed(b, v))
                     prefixes += 1
                 last_read[b] = v
         assert all(changed(s, final) == [] for s in skipped), skipped

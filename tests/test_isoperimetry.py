@@ -253,6 +253,11 @@ class TestKernel:
         with pytest.raises(ValueError, match=f"order {g.order} exceeds exhaustive-search cap"):
             profile(g, s)
 
+    def test_one_vertex_digraph_profiles_without_a_search(self):
+        report = digraph_profile(GenericDigraph(1, ()))
+        assert (report.subsets_enumerated, report.subsets_pruned) == (0, 0)
+        assert [(c.n, c.min_boundary, c.witness.indices()) for c in report.entries] == [(0, 0, []), (1, 0, [0])]
+
     def test_counts_match_identity_canonical_search(self):
         report = profile(*group_and_set("Z3xZ3", "basis"))
         assert report.subsets_enumerated == 2**8 - 1
