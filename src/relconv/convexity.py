@@ -24,7 +24,7 @@ holding an endpoint violation (a = 0 or c = N).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
@@ -85,13 +85,13 @@ def check_almost_convex(f: GridFunction, c: float | Fraction = 1, p: float = 1, 
     return _collect(_scan_rows(f, c, p, tol))
 
 
-def _collect(rows: Iterator[tuple[list[Violation], float]]) -> ViolationList:
+def _collect(rows: Iterator[tuple[list, float]]) -> ViolationList:
     out = ViolationList()
     for row, worst in rows:
         out.extend(row)
-        if worst > out.max_slack:
+        if worst > out.max_slack or worst != worst:  # a NaN worst sticks, as in ndarray.max
             out.max_slack = worst
-    out.sort()  # (a, b, c) is unique per record, so the rest never compares
+    out.sort()  # (a, b, c) is unique per triple record, and equal xs make equal tuple records
     return out
 
 
@@ -182,42 +182,50 @@ def check_mean_inequality(f: GridFunction, m: int, samples: int = 100_000, seed:
 
     For m = 2 the scan is exhaustive over same-parity index pairs (the only
     pairs whose midpoint is on-grid).  For m >= 3 it draws `samples` (>= 1) seeded
-    m-tuples of grid indices whose sum is divisible by m (rejection
-    sampling in blocks of about 2**16 values), so the mean is always a grid
-    point.  Entries are TupleViolation records.
+    m-tuples of grid indices whose sum is divisible by m, so the mean is a grid
+    point, and checks each block of about 2**16 drawn values as it is drawn.
+    Entries are TupleViolation records.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     N = f.N
-    vals = f.floats()
     if m == 2:
         # every pair (i, i + 2d), in sorted order: row i holds d = 1 .. (N - i) // 2
         counts = (N - np.arange(N + 1)) // 2
         i = np.repeat(np.arange(N + 1), counts)
         d = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-        xs = np.stack([i, i + 2 * d], axis=1)
+        blocks = [np.stack([i, i + 2 * d], axis=1)]
     else:
         if samples < 1:
             raise ValueError(f"need samples >= 1 for m >= 3, got {samples}")
-        rng = np.random.default_rng(seed)
-        collected: list[np.ndarray] = []
-        have = 0
-        while have < samples:
-            draw = rng.integers(0, N + 1, size=(max(1, 2**16 // m), m))
-            collected.append(draw[draw.sum(axis=1) % m == 0])
-            have += len(collected[-1])
-        xs = np.sort(np.vstack(collected)[:samples], axis=1)
-    lhs = vals[sum(xs.T) // m]  # whole columns: xs.sum(axis=1) loops once per short row
-    with np.errstate(over="ignore"):  # huge finite values give infinite gaps
-        rhs = vals[xs].mean(axis=1) + (xs[:, -1] - xs[:, 0]) / N
-        gap = lhs - rhs
-        bad = np.flatnonzero(gap > SLACK_TOL)
-        # schema 1 reports an m = 2 record's rhs as lhs - gap
-        rhs_out = lhs[bad] - gap[bad] if m == 2 else rhs[bad]
-    out = ViolationList(map(TupleViolation, map(tuple, xs[bad].tolist()), lhs[bad].tolist(), rhs_out.tolist()))
-    out.sort()  # equal xs make equal records
-    out.max_slack = float(gap.max())
-    return out
+        blocks = _sampled_tuples(N, m, samples, seed)
+    return _collect(_mean_blocks(f.floats(), m, blocks))
+
+
+def _sampled_tuples(N: int, m: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Sorted seeded m-tuples from 0..N with sum divisible by m, one block per draw."""
+    rng = np.random.default_rng(seed)
+    while samples > 0:
+        draw = rng.integers(0, N + 1, size=(max(1, 2**16 // m), m))
+        xs = np.sort(draw[draw.sum(axis=1) % m == 0][:samples], axis=1)
+        samples -= len(xs)
+        yield xs
+
+
+def _mean_blocks(vals: np.ndarray, m: int, blocks: Iterable[np.ndarray]) -> Iterator[tuple[list[TupleViolation], float]]:
+    """(violations, largest lhs - rhs) of each block of sorted m-tuples."""
+    N = len(vals) - 1
+    for xs in blocks:
+        lhs = vals[sum(xs.T) // m]  # whole columns: xs.sum(axis=1) loops once per short row
+        # huge finite values give infinite gaps, and NaN ones where a row sum adds +inf to -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = vals[xs].mean(axis=1) + (xs[:, -1] - xs[:, 0]) / N
+            gap = lhs - rhs
+            bad = np.flatnonzero(gap > SLACK_TOL)
+            # schema 1 reports an m = 2 record's rhs as lhs - gap
+            rhs_out = lhs[bad] - gap[bad] if m == 2 else rhs[bad]
+        yield (list(map(TupleViolation, map(tuple, xs[bad].tolist()), lhs[bad].tolist(), rhs_out.tolist())),
+               float(gap.max(initial=-math.inf)))  # at large m most blocks keep no tuple
 
 
 def check_sharpened(f: GridFunction) -> ViolationList:

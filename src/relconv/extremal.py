@@ -209,7 +209,7 @@ def estimate_sup(
     unread entry keeps its bits, and g[b] is at most every entry of row b
     as last read, so each update is a full sweep's bit for bit.
 
-    Raises ValueError unless p is positive and finite, and ConvergenceError
+    Raises ValueError unless p and tol are positive and finite, and ConvergenceError
     (carrying the last iterate) if max_iters sweeps do not reach tol.
     Mutates `stats`, when given, with the sweep count `iterations`, the
     triples one sweep visits `triples`, the (a, c) entries each sweep
@@ -222,8 +222,8 @@ def estimate_sup(
         raise ValueError(f"grid resolution must be >= 2, got {N}")
     if not 0 < p < math.inf:
         raise ValueError(f"defect exponent must be positive and finite, got {p}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 

@@ -100,6 +100,13 @@ class TestEstimateSup:
         assert code == 2
         assert lines == [f"error: defect exponent must be positive and finite, got {float(p)}"]
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        # --tol inf used to stop after one sweep and report converged: true
+        code = main(["estimate-sup", "--p", "1", "--n", "8", "--tol", tol])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: tolerance must be positive and finite, got {float(tol)}\n"
+
     @pytest.mark.parametrize("p, n", [("2", "203"), ("3", "32"), ("1023.5", "8"), ("1024", "8"), ("1100", "8")])
     def test_p2_and_above_converge_in_one_sweep(self, capsys, tmp_path, p, n):
         # --p 3 --n 32 used to exit 1 after 1000 sweeps from the bound 2**p
@@ -316,7 +323,7 @@ class TestReportBytes:
         text = out.read_text()
         assert '"slack": -Infinity' in text and '"max_slack": Infinity' in text
 
-    @pytest.mark.parametrize("klass", ["Fm:2", "Fm:3"])
+    @pytest.mark.parametrize("klass", ["Fm:2", "Fm:3", "Fm:8"])
     def test_huge_values_mean_classes_quietly(self, tmp_path, klass):
         path = tmp_path / "huge.csv"
         path.write_text(HUGE_CSV)

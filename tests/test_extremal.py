@@ -462,6 +462,8 @@ class TestEstimateSup:
             estimate_sup(1, 1)
         with pytest.raises(ValueError):
             estimate_sup(1, 8, tol=0)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite, got inf"):
+            estimate_sup(1, 8, tol=math.inf)
         with pytest.raises(ValueError):
             estimate_sup(1, 8, max_iters=0)
 
