@@ -61,13 +61,21 @@ def _get(i: int, obj: dict, key: str):
     return obj[key]
 
 
+def _build(i: int, make, *args):
+    """make(*args), with a ValueError it raises reraised naming catalog entry i."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"catalog entry {i}: {exc}") from None
+
+
 def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
     """Load catalog entries from JSON (the built-in catalog by default).
 
     The file is outside input: a catalog without entries, an entry that
-    lacks a key its kind needs, a value of the wrong JSON type, or a group
-    or connection set that does not parse raises ValueError naming the
-    entry's index.
+    lacks a key its kind needs, a value of the wrong JSON type, a group or
+    connection set that does not parse, or a digraph with an arc out of
+    range raises ValueError naming the entry's index.
     """
     raw = json.loads((Path(path) if path else default_catalog_path()).read_text())
     items = raw.get("entries") if isinstance(raw, dict) else None
@@ -82,15 +90,12 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
             m = _get(i, item, "m") if "m" in item else None
             if "group" in item:
                 gtext, stext = _get(i, item, "group"), _get(i, item, "s")
-                try:
-                    group = AbelianGroup.parse(gtext)
-                    s = ConnectionSet.from_text(group, stext)
-                except ValueError as exc:
-                    raise ValueError(f"catalog entry {i}: {exc}") from None
+                group = _build(i, AbelianGroup.parse, gtext)
+                s = _build(i, ConnectionSet.from_text, group, stext)
                 entries.append(CatalogEntry(name, group=group, s=s, m=m))
             elif "digraph" in item:
                 d = _get(i, item, "digraph")
-                digraph = GenericDigraph(_get(i, d, "n"), tuple(_get(i, d, "arcs")))
+                digraph = _build(i, GenericDigraph, _get(i, d, "n"), tuple(_get(i, d, "arcs")))
                 entries.append(CatalogEntry(name, digraph=digraph, m=m))
             else:
                 raise ValueError(f"catalog entry {i} ({name!r}) has neither group nor digraph")

@@ -3,18 +3,24 @@
 Every checker scans inequalities at on-grid triples only: x1 = a/N,
 x2 = c/N, lam = (c-b)/(c-a), so the convex combination lands exactly on
 grid index b.  The triple scans go row by row, one middle index b at a
-time, vectorized over the (a, c) pairs of the row.
+time, vectorized over the (a, c) pairs of the row.  Every triple scan, exact
+or float, reads its right-hand sides from the one kernel grid._triple_rows,
+whose weights come from the offsets i = b - a, j = c - b and den = c - a:
+(lam, 1 - lam, defect) with lam = j/den for the float scans, and the
+integers (N*j, N*i, C*den**2) for the exact scan.
 
 Arithmetic is exact whenever the grid function stores rationals and the
 defect exponent is 1.  The exact scan scales the values and the constant c
-by D, the lcm of their denominators, and multiplies each inequality out by
-N*D*(c-a), so every comparison is a sign test on an integer; Fractions are
-built only for the violating triples.  The integers run in int64 while the
-worst-case magnitude stays below 2**53, where int64 cannot overflow and
-float64 division gives a correctly rounded max_slack; past that bound the
-same expressions run on Python ints in object arrays.  Otherwise the scan is
-floating point with the slack tolerance SLACK_TOL (violations require
-slack < -SLACK_TOL); only check_almost_convex lets its caller set another.
+by D, the lcm of their denominators, to integers F and C, and multiplies
+each inequality out by N*D*(c-a), so every comparison is a sign test on the
+integer N*den*F[b] minus the kernel's row; Fractions are built only for the
+violating triples.  The integers run in int64 while the worst-case
+magnitude stays below 2**53, where int64 cannot overflow and float64
+division gives a correctly rounded max_slack; past that bound the same
+kernel and expressions run on Python ints in object arrays.  Otherwise the
+scan is floating point with the slack tolerance SLACK_TOL (violations
+require slack < -SLACK_TOL); only check_almost_convex lets its caller set
+another.
 
 check_endpoint_reduction reads both of its verdicts off one pass of the
 same rows, with the same exact/float dispatch, and stops at the first row
@@ -32,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .extremal import majorant_values, parabola
-from .grid import GridFunction, _float, _triple_rows
+from .grid import GridFunction, _chord, _float, _triple_rows
 
 # Every class check tests the same inequality, so the float scans share one
 # slack tolerance.
@@ -106,15 +112,18 @@ def _scan_rows(f: GridFunction, c: float | Fraction, p: float, tol: float) -> It
 
 def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Violation], float]]:
     # Scaled by D = lcm of all denominators, F = D*f and C = D*c are
-    # integers, and multiplying gap = f[b] - rhs by N*D*(c-a) > 0 gives
-    #   G = N*((c-a)F[b] - (c-b)F[a] - (b-a)F[c]) - C*(c-a)**2,
-    # so a triple violates exactly when G > 0.
+    # integers, and multiplying gap = f[b] - rhs by N*D*(c-a) > 0 gives, with
+    # i = b - a, j = c - b and den = c - a,
+    #   G = N*den*F[b] - (N*j*F[a] + N*i*F[c] + C*den**2),
+    # so a triple violates exactly when G > 0.  The bracket is row(b) of
+    # _triple_rows under the weights (N*j, N*i, C*den**2).
     N = f.N
     vals = f.values
     D = math.lcm(c_const.denominator, *(v.denominator for v in vals))
     F = [v.numerator * (D // v.denominator) for v in vals]
     C = c_const.numerator * (D // c_const.denominator)
-    # |G| <= N^2 (2 max|F| + |C|) and N*D*(c-a) <= N^2 D.  Below 2^53, int64
+    # Each partial sum of the bracket is at most N^2 (max|F| + |C|) in size,
+    # |G| <= N^2 (2 max|F| + |C|) and N*D*den <= N^2 D.  Below 2^53, int64
     # cannot overflow, both convert to float64 exactly and their quotient is
     # correctly rounded.  Past it, Python ints in object arrays are exact; their
     # true division is correctly rounded but raises past the float range, where
@@ -122,20 +131,25 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
     # monotone, so the largest rounded quotient is the exact largest gap, rounded.
     fits = N * N * max(2 * max(map(abs, F)) + abs(C), D) < 2**53
     dtype = np.int64 if fits else object
-    F = np.array(F, dtype=dtype)
-    idx = np.arange(N + 1).astype(dtype)
+    F, C = np.array(F, dtype=dtype), np.array(C, dtype=dtype)  # a 0-d C keeps C*den in dtype past int64
+
+    def weights(i, j, den, out):
+        out[0][...], out[1][...], out[2][...] = N * j, N * i, C * den * den
+
+    row = _triple_rows(N, weights, F)
+    x = N * np.arange(N + 1).astype(dtype)  # N*den = x[c] - x[a]
     for b in range(1, N):
-        a = idx[:b, None]
-        c = idx[None, b + 1:]
-        den = c - a
-        G = N * (den * F[b] - (c - b) * F[:b, None] - (b - a) * F[None, b + 1:]) - C * den * den
+        div = x[None, b + 1:] - x[:b, None]
+        G = row(b)
+        np.subtract(F[b] * div, G, out=G)
+        div *= D  # N*D*den
         try:
-            worst = float((G / (N * D * den)).max())
+            worst = float((G / div).max())
         except OverflowError:  # an object-array quotient past the float range
-            worst = _float(max(map(Fraction, G.flat, (N * D * den).flat)))
+            worst = _float(max(map(Fraction, G.flat, div.flat)))
         lhs = vals[b]
         ai, ci = np.nonzero(G > 0)
-        gaps = list(map(Fraction, G[ai, ci].tolist(), (N * D * den[ai, ci]).tolist()))
+        gaps = list(map(Fraction, G[ai, ci].tolist(), div[ai, ci].tolist()))
         yield list(map(Violation, ai.tolist(), repeat(b), (ci + b + 1).tolist(), repeat(lhs),
                        [lhs - g for g in gaps], [-g for g in gaps])), worst
 
@@ -143,7 +157,7 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
 def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Violation], float]]:
     """Float scan rows with rhs = chord + defect(den, lam), den = c - a."""
     N = len(vals) - 1
-    rhs_row = _triple_rows(N, defect, vals)
+    rhs_row = _triple_rows(N, _chord(defect), vals)
     for b in range(1, N):
         rhs = rhs_row(b)
         lhs = float(vals[b])

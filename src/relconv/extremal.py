@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridFunction, _triple_rows
+from .grid import GridFunction, _chord, _triple_rows
 
 Real = int | float | Fraction
 
@@ -229,7 +229,7 @@ def estimate_sup(
 
     g = np.minimum(sup_closed_form(p, N).floats(), 1.0)
     spread = (np.arange(N + 1) / N) ** p
-    row = _triple_rows(N, lambda den, lam: spread[den], g)
+    row = _triple_rows(N, _chord(lambda den, lam: spread[den]), g)
 
     decreases = []
     sweep_ms = []

@@ -68,64 +68,72 @@ class GridFunction:
         return f"<GridFunction {tag!r} N={self.N} ({mode})>"
 
 
-def _triple_rows(N: int, defect: Callable, v: np.ndarray) -> Callable:
+def _chord(defect: Callable) -> Callable:
+    """The float weights (lam, 1 - lam, defect(den, lam)), lam = j/den: rhs is the chord at b plus the defect."""
+
+    def weights(i, j, den, out):
+        np.subtract(1.0, np.divide(j, den, out=out[0]), out=out[1])
+        out[2][...] = defect(den, out[0])
+
+    return weights
+
+
+def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     """Right-hand sides of the on-grid triples a < b < c, from tables built once.
 
     A triple depends on its middle index b only through the offsets
-    i = b - a and j = c - b: den = c - a = i + j and lam = (c - b)/(c - a)
-    = j/(i + j).  The tables hold lam, 1 - lam and defect(den, lam) for
-    1 <= i, j <= N-1, rows by i descending and columns by j ascending, so
-    the (a, c) matrix of middle index b, a and c ascending, is the slice
-    [N-1-b : N-1, : N-b].  Every slice lies in the lower-left triangle
-    i + j <= N; the entries past it belong to no triple and are never read.
-    The tables are filled in blocks of about 2**16 entries, each block of
-    rows up to the triangle's edge at its last row, so defect runs on about
-    half the table and its temporaries stay block-sized.  Within a block
-    defect sees den capped at N, so it may index arrays of length N+1.
+    i = b - a and j = c - b, with den = c - a = i + j.  Three tables, in v's
+    dtype (float, int64 or object), hold the weights w0, w1 and w2 of each
+    (i, j) for 1 <= i, j <= N-1, rows by i descending and columns by j
+    ascending, so the (a, c) matrix of middle index b, a and c ascending, is
+    the slice [N-1-b : N-1, : N-b].  Every slice lies in the lower-left
+    triangle i + j <= N; the entries past it belong to no triple and are
+    never read.  weights(i, j, den, out) writes them into the three views of
+    out: i a column, j a row, den their sum capped at N, so it may index
+    arrays of length N+1.  The tables are filled in blocks of about 2**16
+    entries, each block of rows up to the triangle's edge at its last row,
+    so weights runs on about half the table and its temporaries stay
+    block-sized.  _chord gives the float weights (lam, 1 - lam, defect) with
+    lam = (c - b)/(c - a) = j/den; the exact scan passes integer ones.
 
     Returns row.  row(b), for 1 <= b <= N-1, is the (a, c) matrix
 
-        rhs = lam*v[a] + (1 - lam)*v[c] + defect
+        rhs = w0*v[a] + w1*v[c] + w2
 
     evaluated in that order, through views of the tables, of v and of the
     work buffers; the next call overwrites it.  row(b, rows), rows a slice
     of the rows a in 0..b-1, evaluates only those rows, entry for entry the
-    same floats, and returns them.  Row b's views are made at its first
+    same values, and returns them.  Row b's views are made at its first
     call and kept, so a caller that stops early pays only for the rows it
     read.  Every call reads v when made, so a caller writing v[b] sees the
     update in row b + 1.
     """
     i = np.arange(N - 1, 0, -1)[:, None]
     j = np.arange(1, N)[None, :]
-    lam = np.empty((N - 1, N - 1))
-    rest = np.empty_like(lam)
-    extra = np.empty_like(lam)
+    w0, w1, w2 = (np.empty((N - 1, N - 1), dtype=v.dtype) for _ in range(3))
     step = max(1, 2**16 // N)
     for r in range(0, N - 1, step):
         end = min(r + step, N - 1)
-        blk = np.s_[r:end, :end]
         den = i[r:end] + j[:, :end]
-        np.divide(j[:, :end], den, out=lam[blk])
-        np.subtract(1.0, lam[blk], out=rest[blk])
-        extra[blk] = defect(np.minimum(den, N, out=den), lam[blk])
+        weights(i[r:end], j[:, :end], np.minimum(den, N, out=den), [w[r:end, :end] for w in (w0, w1, w2)])
     size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
-    buf = np.empty(size)
-    tmp = np.empty(size)
+    buf = np.empty(size, dtype=v.dtype)
+    tmp = np.empty(size, dtype=v.dtype)
     views: list = [None] * N  # views[b]: row b's views, made at its first call
 
     def row(b: int, rows: slice | None = None) -> np.ndarray:
         if views[b] is None:
             sl = np.s_[N - 1 - b : N - 1, : N - b]
             shape = (b, N - b)
-            views[b] = (lam[sl], rest[sl], extra[sl], v[:b, None], v[None, b + 1 :],
+            views[b] = (w0[sl], w1[sl], w2[sl], v[:b, None], v[None, b + 1 :],
                         buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape))
-        lb, rb, xb, va, vc, rhs, part = views[b]
+        s0, s1, s2, va, vc, rhs, part = views[b]
         if rows is not None:
-            lb, rb, xb, va, rhs, part = (x[rows] for x in (lb, rb, xb, va, rhs, part))
-        np.multiply(lb, va, out=rhs)
-        np.multiply(rb, vc, out=part)
+            s0, s1, s2, va, rhs, part = (x[rows] for x in (s0, s1, s2, va, rhs, part))
+        np.multiply(s0, va, out=rhs)
+        np.multiply(s1, vc, out=part)
         rhs += part
-        rhs += xb
+        rhs += s2
         return rhs
 
     return row

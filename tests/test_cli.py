@@ -524,7 +524,8 @@ class TestVerifyCatalog:
         ({"name": "x", "group": "Zq", "s": "(1)"}, "cannot parse group token 'Zq' in 'Zq'"),
         ({"name": "x", "group": "Z4xZ2", "s": "(1)"}, "element (1,) has 1 coordinate(s), Z4xZ2 has rank 2"),
         ({"name": "x", "group": "Z4", "s": "(1),(x)"}, "cannot parse connection-set field 'x' in '(1),(x)'"),
-    ], ids=["group-token", "s-rank", "s-field"])
+        ({"name": "bad", "digraph": {"n": 3, "arcs": [[0, 5]]}}, "arc (0,5) out of range for 3 vertices"),
+    ], ids=["group-token", "s-rank", "s-field", "arc-range"])
     def test_unparsable_entry_names_its_index(self, capsys, tmp_path, entry, message):
         cat = tmp_path / "cat.json"
         cat.write_text(json.dumps({"entries": [{"name": "Z4", "group": "Z4", "s": "(1)"}, entry]}))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from relconv import convexity
 from relconv.convexity import (
     SLACK_TOL,
     check_almost_convex,
@@ -21,7 +22,7 @@ from relconv.convexity import (
     sample_concave,
 )
 from relconv.extremal import majorant_grid, majorant_values, parabola_grid
-from relconv.grid import GridFunction
+from relconv.grid import GridFunction, _triple_rows
 
 from conftest import exact_parabola_grid, reference_mean_tuples
 
@@ -160,6 +161,24 @@ class TestAlmostConvex:
         # must take the Python-int fallback to match the oracle
         assert_matches_oracle(GridFunction(12, random_rationals(seed, 13, 3**41, 3**40)), Fraction(1, 3))
         assert_matches_oracle(GridFunction(4, random_rationals(seed, 5, 2**56, 2**56 - 5)), 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("top, dtype", [(2**48 - 1, np.int64), (2**48, object)], ids=["int64", "object"])
+    def test_exact_scan_switches_to_object_arrays_at_2_53(self, monkeypatch, seed, top, dtype):
+        # integer values with max|F| = top and C = 1 at N = 4 put the bound
+        # N^2 (2 max|F| + |C|) at 2^53 - 16 and 2^53 + 16
+        rng = random.Random(seed)
+        values = [top, -top] + [rng.randint(-top, top) for _ in range(3)]
+        rng.shuffle(values)
+        dtypes = []
+
+        def spy(N, weights, v):
+            dtypes.append(v.dtype)
+            return _triple_rows(N, weights, v)
+
+        monkeypatch.setattr(convexity, "_triple_rows", spy)
+        assert_matches_oracle(GridFunction(4, [Fraction(v) for v in values]), 1)
+        assert dtypes == [np.dtype(dtype)]
 
     @pytest.mark.parametrize("c", [Fraction(10**400, 3), Fraction(-10**400, 3)])
     def test_exact_scale_past_float_range_matches_oracle(self, c):

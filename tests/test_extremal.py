@@ -19,7 +19,7 @@ from relconv.extremal import (
     sup_closed_form,
 )
 from relconv.convexity import check_almost_convex
-from relconv.grid import _triple_rows
+from relconv.grid import _chord, _triple_rows
 
 from conftest import exact_parabola_grid, reference_majorant
 
@@ -301,7 +301,7 @@ class TestDirtySweeps:
         rng = np.random.default_rng(N)
         v = np.empty(N + 1)
         spread = (np.arange(N + 1) / N) ** 1.5
-        row = _triple_rows(N, lambda den, lam: spread[den], v)
+        row = _triple_rows(N, _chord(lambda den, lam: spread[den]), v)
         for b in rng.permutation(np.arange(1, N)).tolist():
             v[:] = rng.random(N + 1)
             bounds = [sorted(rng.choice(b + 1, 2, replace=False).tolist()) for _ in range(b + 1)]
@@ -320,8 +320,8 @@ class TestDirtySweeps:
         # no input of row b), and a skipped row must have no changed input.
         calls = []
 
-        def spy(N, defect, v):
-            row = _triple_rows(N, defect, v)
+        def spy(N, weights, v):
+            row = _triple_rows(N, weights, v)
 
             def row_spy(b, rows=None):
                 calls.append((b, v.copy(), rows))

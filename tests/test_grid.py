@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relconv.grid import GridFunction, _triple_rows, read_csv, write_csv
+from relconv.grid import GridFunction, _chord, _triple_rows, read_csv, write_csv
 
 
 def test_resolution_and_length_validation():
@@ -73,15 +73,41 @@ def test_non_finite_values_rejected(bad):
             GridFunction(2, values)
 
 
+def integer_weights(N, C):
+    """The exact scan's weights (N*j, N*i, C*den**2)."""
+
+    def weights(i, j, den, out):
+        np.multiply(N, j, out=out[0])
+        np.multiply(N, i, out=out[1])
+        np.multiply(C * den, den, out=out[2])
+
+    return weights
+
+
 @pytest.mark.parametrize("N", [2, 3, 24, 257, 400])
 def test_triple_rows_match_per_row_construction(N):
     # N > 256 fills the tables in more than one block of rows.
-    v = np.random.default_rng(N).standard_normal(N + 1)
+    rng = np.random.default_rng(N)
+    v = rng.standard_normal(N + 1)
     spread = (np.arange(N + 1) / N) ** 1.5
-    row = _triple_rows(N, lambda den, lam: spread[den] * lam, v)
+    row = _triple_rows(N, _chord(lambda den, lam: spread[den] * lam), v)
     for b in range(1, N):
         a = np.arange(b)[:, None]
         c = np.arange(b + 1, N + 1)[None, :]
         lam = (c - b) / (c - a)
         want = lam * v[a] + (1.0 - lam) * v[c] + spread[c - a] * lam
         assert row(b).tobytes() == want.tobytes()
+    # integer tables, exact: int64, and at small N Python ints in object
+    # arrays with a scale past the int64 range
+    F = rng.integers(-2**20, 2**20, N + 1)
+    cases = [(F, np.array(12345))]
+    if N <= 24:
+        cases.append((np.array([3**45 * int(x) for x in F], dtype=object), np.array(3**50, dtype=object)))
+    for F, C in cases:
+        row = _triple_rows(N, integer_weights(N, C), F)
+        for b in range(1, N):
+            a = np.arange(b).astype(F.dtype)[:, None]
+            c = np.arange(b + 1, N + 1).astype(F.dtype)[None, :]
+            want = N * (c - b) * F[:b, None] + N * (b - a) * F[None, b + 1:] + C * (c - a) * (c - a)
+            got = row(b)
+            assert got.dtype == F.dtype and got.tolist() == want.tolist()
