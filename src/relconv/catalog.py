@@ -111,8 +111,10 @@ def verify_catalog(entries: list[CatalogEntry]) -> list[ProfileReport]:
     they name one, and raise RuntimeError on a bound violation with
     generating S.  Digraph entries are labelled with their name; an m they
     carry tabulates the would-be bound, whose abelian hypothesis they do not meet.
+    A ValueError an entry raises (an m below S's largest element order, a
+    graph past the search cap) is reraised naming the entry's index.
     """
     return [
-        profile(e.group, e.s, m_override=e.m) if e.is_cayley else digraph_profile(e.digraph, e.m, e.name)
-        for e in entries
+        _build(i, profile, e.group, e.s, e.m) if e.is_cayley else _build(i, digraph_profile, e.digraph, e.m, e.name)
+        for i, e in enumerate(entries)
     ]

@@ -7,14 +7,15 @@ time, vectorized over the (a, c) pairs of the row.  Every triple scan, exact
 or float, reads its right-hand sides from the one kernel grid._triple_rows,
 whose weights come from the offsets i = b - a, j = c - b and den = c - a:
 (lam, 1 - lam, defect) with lam = j/den for the float scans, and the
-integers (N*j, N*i, C*den**2) for the exact scan.
+integers (N*j, N*i, -C*den**2) for the exact scan.
 
 Arithmetic is exact whenever the grid function stores rationals and the
 defect exponent is 1.  The exact scan scales the values and the constant c
 by D, the lcm of their denominators, to integers F and C, and multiplies
-each inequality out by N*D*(c-a), so every comparison is a sign test on the
-integer N*den*F[b] minus the kernel's row; Fractions are built only for the
-violating triples.  The integers run in int64 while the worst-case
+each inequality out by N*D*(c-a), so every comparison is a sign test on one
+entry of the kernel's row of the vector F[b] - F; each violating triple's
+rhs and slack are two quotients of integers, the only Fractions the scan
+builds.  The integers run in int64 while the worst-case
 magnitude stays below 2**53, where int64 cannot overflow and float64
 division gives a correctly rounded max_slack; past that bound the same
 kernel and expressions run on Python ints in object arrays.  Otherwise the
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .extremal import majorant_values, parabola
+from .extremal import majorant_values, parabola, parabola_grid
 from .grid import GridFunction, _chord, _float, _triple_rows
 
 # Every class check tests the same inequality, so the float scans share one
@@ -114,44 +115,46 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
     # Scaled by D = lcm of all denominators, F = D*f and C = D*c are
     # integers, and multiplying gap = f[b] - rhs by N*D*(c-a) > 0 gives, with
     # i = b - a, j = c - b and den = c - a,
-    #   G = N*den*F[b] - (N*j*F[a] + N*i*F[c] + C*den**2),
-    # so a triple violates exactly when G > 0.  The bracket is row(b) of
-    # _triple_rows under the weights (N*j, N*i, C*den**2).
+    #   G = N*j*(F[b] - F[a]) + N*i*(F[b] - F[c]) - C*den**2,
+    # so a triple violates exactly when G > 0.  G is row(b) of _triple_rows
+    # on v = F[b] - F under the weights (N*j, N*i, -C*den**2).
     N = f.N
     vals = f.values
     D = math.lcm(c_const.denominator, *(v.denominator for v in vals))
     F = [v.numerator * (D // v.denominator) for v in vals]
     C = c_const.numerator * (D // c_const.denominator)
-    # Each partial sum of the bracket is at most N^2 (max|F| + |C|) in size,
-    # |G| <= N^2 (2 max|F| + |C|) and N*D*den <= N^2 D.  Below 2^53, int64
-    # cannot overflow, both convert to float64 exactly and their quotient is
-    # correctly rounded.  Past it, Python ints in object arrays are exact; their
-    # true division is correctly rounded but raises past the float range, where
-    # the row's exact largest quotient rounds through _float.  Rounding is
-    # monotone, so the largest rounded quotient is the exact largest gap, rounded.
+    # Each partial sum of the row is at most N^2 * 2 max|F| in size,
+    # |G| <= N^2 (2 max|F| + |C|), N*D*den <= N^2 D, and a record's numerator
+    # F[b]*N*den - G is at most N^2 (3 max|F| + |C|), under 1.5 times |G|'s bound.
+    # Below 2^53, int64 cannot overflow, G and N*D*den convert to float64
+    # exactly and their quotient is correctly rounded.  Past it, Python ints
+    # in object arrays are exact; their true division is correctly rounded but
+    # raises past the float range, where the row's exact largest quotient
+    # rounds through _float.  Rounding is monotone, so the largest rounded
+    # quotient is the exact largest gap, rounded.
     fits = N * N * max(2 * max(map(abs, F)) + abs(C), D) < 2**53
     dtype = np.int64 if fits else object
     F, C = np.array(F, dtype=dtype), np.array(C, dtype=dtype)  # a 0-d C keeps C*den in dtype past int64
 
     def weights(i, j, den, out):
-        out[0][...], out[1][...], out[2][...] = N * j, N * i, C * den * den
+        out[0][...], out[1][...], out[2][...] = N * j, N * i, -(C * den * den)
 
-    row = _triple_rows(N, weights, F)
-    x = N * np.arange(N + 1).astype(dtype)  # N*den = x[c] - x[a]
+    v = np.empty(N + 1, dtype=dtype)
+    row = _triple_rows(N, weights, v)
+    x = np.array([N * D * k for k in range(N + 1)], dtype=dtype)  # N*D*den = x[c] - x[a]
     for b in range(1, N):
-        div = x[None, b + 1:] - x[:b, None]
+        np.subtract(F[b], F, out=v)
         G = row(b)
-        np.subtract(F[b] * div, G, out=G)
-        div *= D  # N*D*den
+        div = x[None, b + 1:] - x[:b, None]
         try:
             worst = float((G / div).max())
         except OverflowError:  # an object-array quotient past the float range
             worst = _float(max(map(Fraction, G.flat, div.flat)))
-        lhs = vals[b]
         ai, ci = np.nonzero(G > 0)
-        gaps = list(map(Fraction, G[ai, ci].tolist(), div[ai, ci].tolist()))
-        yield list(map(Violation, ai.tolist(), repeat(b), (ci + b + 1).tolist(), repeat(lhs),
-                       [lhs - g for g in gaps], [-g for g in gaps])), worst
+        g, d = G[ai, ci], div[ai, ci]
+        yield list(map(Violation, ai.tolist(), repeat(b), (ci + b + 1).tolist(), repeat(vals[b]),
+                       map(Fraction, (F[b] * (d // D) - g).tolist(), d.tolist()),
+                       map(Fraction, (-g).tolist(), d.tolist()))), worst
 
 
 def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Violation], float]]:
@@ -221,7 +224,7 @@ def _sampled_tuples(N: int, m: int, samples: int, seed: int) -> Iterator[np.ndar
     rng = np.random.default_rng(seed)
     while samples > 0:
         draw = rng.integers(0, N + 1, size=(max(1, 2**16 // m), m))
-        xs = np.sort(draw[draw.sum(axis=1) % m == 0][:samples], axis=1)
+        xs = np.sort(draw[sum(draw.T) % m == 0][:samples], axis=1)  # whole columns, as in _mean_blocks
         samples -= len(xs)
         yield xs
 
@@ -308,8 +311,7 @@ def check_under_parabola(f: GridFunction) -> bool:
     v = f.floats()
     if abs(v[0]) > 1e-12 or abs(v[-1]) > 1e-12:
         raise ValueError("endpoints must be zero")
-    x = np.arange(f.N + 1) / f.N
-    return bool(np.all(v <= 4.0 * x * (1.0 - x) + SLACK_TOL))
+    return bool(np.all(v <= parabola_grid(f.N).floats() + SLACK_TOL))
 
 
 def check_endpoint_reduction(f: GridFunction) -> tuple[bool, bool]:

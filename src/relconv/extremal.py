@@ -205,9 +205,10 @@ def estimate_sup(
     wrote: when last > b + 1 some column c > b changed, and the whole row
     is read; otherwise, when w > 1, only its rows 0 < a < w are read (see
     grid._triple_rows; the a = 0 row's inputs g[0] and g[c], c > b, have not
-    changed); otherwise the row is skipped.  No entry ever increases, an
-    unread entry keeps its bits, and g[b] is at most every entry of row b
-    as last read, so each update is a full sweep's bit for bit.
+    changed); otherwise no row from b on has a changed input, and the sweep
+    ends.  No entry ever increases, an unread entry keeps its bits, and g[b]
+    is at most every entry of row b as last read, so each update is a full
+    sweep's bit for bit.
 
     Raises ValueError unless p and tol are positive and finite, and ConvergenceError
     (carrying the last iterate) if max_iters sweeps do not reach tol.
@@ -244,14 +245,11 @@ def estimate_sup(
         read = 0
         start = perf_counter()
         for b in range(1, N):
-            if last > b + 1:
-                m = row(b).min()
-                read += b * (N - b)
-            elif w > 1:
-                m = row(b, slice(1, w)).min()
-                read += (w - 1) * (N - b)
-            else:
-                continue
+            if last <= b + 1 and w == 1:
+                break  # no later row has a changed input either
+            r = row(b, None if last > b + 1 else slice(1, w))
+            read += r.size
+            m = r.min()
             if m < g[b]:
                 max_dec = max(max_dec, g[b] - m)
                 g[b] = m
@@ -266,7 +264,7 @@ def estimate_sup(
     converged = decreases[-1] < tol
     if stats is not None:
         stats["iterations"] = len(decreases)
-        stats["triples"] = math.comb(N + 1, 3)
+        stats["triples"] = triples_read[0]  # the first sweep reads every row whole
         stats["triples_read"] = triples_read
         stats["sweep_ms"] = sweep_ms
         stats["decreases"] = decreases

@@ -94,7 +94,8 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     entries, each block of rows up to the triangle's edge at its last row,
     so weights runs on about half the table and its temporaries stay
     block-sized.  _chord gives the float weights (lam, 1 - lam, defect) with
-    lam = (c - b)/(c - a) = j/den; the exact scan passes integer ones.
+    lam = (c - b)/(c - a) = j/den; the exact scan passes the integers
+    (N*j, N*i, -C*den**2).
 
     Returns row.  row(b), for 1 <= b <= N-1, is the (a, c) matrix
 
@@ -105,8 +106,9 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     of the rows a in 0..b-1, evaluates only those rows, entry for entry the
     same values, and returns them.  Row b's views are made at its first
     call and kept, so a caller that stops early pays only for the rows it
-    read.  Every call reads v when made, so a caller writing v[b] sees the
-    update in row b + 1.
+    read.  Every call reads v when made, so a caller may rewrite v between
+    calls: the sup writing v[b] sees the update in row b + 1, and the exact
+    scan writes F[b] - F into v before row b.
     """
     i = np.arange(N - 1, 0, -1)[:, None]
     j = np.arange(1, N)[None, :]
@@ -162,7 +164,7 @@ def read_csv(path: str | Path) -> GridFunction:
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])  # an empty file fails the header check
         if [h.strip() for h in header] != ["i", "x", "value"]:
             raise ValueError(f"unexpected CSV header {header!r}, want i,x,value")
         for row in r:

@@ -525,7 +525,9 @@ class TestVerifyCatalog:
         ({"name": "x", "group": "Z4xZ2", "s": "(1)"}, "element (1,) has 1 coordinate(s), Z4xZ2 has rank 2"),
         ({"name": "x", "group": "Z4", "s": "(1),(x)"}, "cannot parse connection-set field 'x' in '(1),(x)'"),
         ({"name": "bad", "digraph": {"n": 3, "arcs": [[0, 5]]}}, "arc (0,5) out of range for 3 vertices"),
-    ], ids=["group-token", "s-rank", "s-field", "arc-range"])
+        ({"name": "low-m", "group": "Z4", "s": "(1)", "m": 2}, "m=2 is smaller than the maximal element order 4 of S"),
+        ({"name": "past-cap", "group": "Z33", "s": "(1)"}, "order 33 exceeds exhaustive-search cap 32"),
+    ], ids=["group-token", "s-rank", "s-field", "arc-range", "low-m", "past-cap"])
     def test_unparsable_entry_names_its_index(self, capsys, tmp_path, entry, message):
         cat = tmp_path / "cat.json"
         cat.write_text(json.dumps({"entries": [{"name": "Z4", "group": "Z4", "s": "(1)"}, entry]}))
@@ -544,7 +546,7 @@ class TestVerifyCatalog:
         cat = tmp_path / "cat.json"
         cat.write_text(json.dumps({"entries": [{"name": "x", "digraph": {"n": 10**12, "arcs": [[0, 1], [1, 0]]}}]}))
         assert main(["verify-catalog", "--catalog", str(cat)]) == 2
-        assert capsys.readouterr().err == f"error: order {10**12} exceeds exhaustive-search cap 32\n"
+        assert capsys.readouterr().err == f"error: catalog entry 0: order {10**12} exceeds exhaustive-search cap 32\n"
 
     def test_bound_violation_exits_one(self, capsys, tmp_path, monkeypatch):
         cat = tmp_path / "cat.json"
@@ -642,9 +644,10 @@ def test_usage_error_exit_code():
      "catalog entry 0 ('x') has neither group nor digraph"),
     (["check-class", "--fn", "builtin:tent:0,1", "--class", "F", "--n", "8"], None,
      "apex abscissa must lie in (0, 1), got 0"),
+    (["check-class", "--fn", "{tmp}/empty.csv", "--class", "F"], None, "unexpected CSV header [], want i,x,value"),
 ], ids=["unwritable-out", "unwritable-csv", "zero-denominator", "empty-catalog", "nameless-entry",
         "exact-csv-past-float-range", "mixed-csv-past-float-range", "tent-past-float-range",
-        "s-outside-tuples", "entry-not-object", "entry-of-no-kind", "tent-apex-at-endpoint"])
+        "s-outside-tuples", "entry-not-object", "entry-of-no-kind", "tent-apex-at-endpoint", "empty-csv"])
 def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv, catalog, message):
     if catalog is not None:
         (tmp_path / "cat.json").write_text(json.dumps(catalog))
@@ -652,6 +655,7 @@ def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv,
     big = f"1,1/2,{10**400}/1\n"
     (tmp_path / "exact.csv").write_text("i,x,value\n0,0/2,0/1\n" + big + "2,2/2,0/1\n")
     (tmp_path / "mixed.csv").write_text("i,x,value\n0,0/2,0.0\n" + big + "2,2/2,0.0\n")
+    (tmp_path / "empty.csv").write_text("")
     code = main([a.format(tmp=tmp_path) for a in argv])
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
