@@ -2,8 +2,11 @@
 
 Every checker scans inequalities at on-grid triples only: x1 = a/N,
 x2 = c/N, lam = (c-b)/(c-a), so the convex combination lands exactly on
-grid index b.  The triple scans go row by row, one middle index b at a
-time, vectorized over the (a, c) pairs of the row.  Every triple scan, exact
+grid index b.  A row is the (a, c) matrix of one middle index b.  The float
+scans read blocks of consecutive rows, of at most about 2**14 entries
+each, and the exact scan (like extremal's sup) reads one row at a time;
+either way every row gets its own largest gap and its own violations.
+Every triple scan, exact
 or float, reads its right-hand sides from the one kernel grid._triple_rows,
 whose weights come from the offsets i = b - a, j = c - b and den = c - a:
 (lam, 1 - lam, defect) with lam = j/den for the float scans, and the
@@ -39,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .extremal import majorant_values, parabola, parabola_grid
-from .grid import GridFunction, _chord, _float, _triple_rows
+from .grid import GridFunction, _chord, _float, _row_blocks, _triple_rows
 
 # Every class check tests the same inequality, so the float scans share one
 # slack tolerance.
@@ -158,22 +161,39 @@ def _exact_rows(f: GridFunction, c_const: Fraction) -> Iterator[tuple[list[Viola
 
 
 def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Violation], float]]:
-    """Float scan rows with rhs = chord + defect(den, lam), den = c - a."""
+    """Float scan rows with rhs = chord + defect(den, lam), den = c - a.
+
+    The rows are read in the blocks of grid._row_blocks, and each row still
+    gets its own worst and its own violation gate, so a NaN row hides no
+    row beside it.
+    """
     N = len(vals) - 1
-    rhs_row = _triple_rows(N, _chord(defect), vals)
-    for b in range(1, N):
-        rhs = rhs_row(b)
-        lhs = float(vals[b])
-        # rounding is monotone, so this is the row's largest rounded lhs - rhs
-        worst = lhs - float(rhs.min())
-        row = []
-        if worst > tol:
-            with np.errstate(over="ignore"):  # huge finite values give infinite gaps
-                ai, ci = np.nonzero(lhs - rhs > tol)
-                r = rhs[ai, ci]
-                row = list(map(Violation, ai.tolist(), repeat(b), (ci + b + 1).tolist(), repeat(lhs),
-                               r.tolist(), (r - lhs).tolist()))
-        yield row, worst
+    row = _triple_rows(N, _chord(defect), vals)
+    for b0, b1 in _row_blocks(N):
+        # rounding is monotone, so lhs - min is each row's largest rounded lhs - rhs;
+        # a row alone is row(b0) through its cached views, in scalar floats that skip
+        # the errstate and the arrays (6-15% of a scan whose rows are mostly alone,
+        # at N = 256 to 384)
+        if b1 == b0 + 1:
+            rhs = row(b0)[None]
+            worsts = [float(vals[b0]) - float(rhs.min())]
+        else:
+            rhs = row.block(b0, b1)
+            with np.errstate(over="ignore", invalid="ignore"):  # huge finite values give infinite gaps
+                worsts = (vals[b0:b1] - rhs.min(axis=(1, 2))).tolist()
+        for b, worst in enumerate(worsts, b0):
+            x = float(vals[b])
+            if worst == 0 and math.copysign(1, x) < 0:  # -0.0 - min: a zero min's sign is the row's own
+                worst = x - float(row(b).min())
+            out = []
+            if worst > tol:
+                r = rhs[b - b0, b1 - 1 - b :, : N - b]  # row b: a = 0..b-1, c = b+1..N
+                with np.errstate(over="ignore"):
+                    ai, ci = np.nonzero(x - r > tol)
+                    r = r[ai, ci]
+                    out = list(map(Violation, ai.tolist(), repeat(b), (ci + b + 1).tolist(), repeat(x),
+                                   r.tolist(), (r - x).tolist()))
+            yield out, worst
 
 
 def check_almost_convex_anchored(f: GridFunction) -> ViolationList:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -78,6 +78,28 @@ def _chord(defect: Callable) -> Callable:
     return weights
 
 
+# A read-only float scan reads the rows of consecutive middle indices in one
+# row.block of at most this many entries, so it makes its numpy calls once
+# per block, not once per row.  On a 2-core Xeon a whole float scan at
+# N = 128 took 0.99, 0.86, 0.74 and 0.75 of its row-by-row time at 2**12,
+# 2**13, 2**14 and 2**15 entries; at N = 256 and 384, where most rows are
+# larger than a block and read alone, every size read within 5% of it.
+_BLOCK_TRIPLES = 2**14
+
+
+def _row_blocks(N: int) -> Iterator[tuple[int, int]]:
+    """The blocks (b0, b1) of a pass over the rows 1..N-1: from each b0, as
+    many consecutive rows as keep K*(b1-1)*(N-b0) within _BLOCK_TRIPLES, or
+    the one row b0 when even that is larger (read with row, not row.block)."""
+    b0 = 1
+    while b0 < N:
+        b1 = b0 + 1
+        while b1 < N and (b1 + 1 - b0) * b1 * (N - b0) <= _BLOCK_TRIPLES:
+            b1 += 1
+        yield b0, b1
+        b0 = b1
+
+
 def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     """Right-hand sides of the on-grid triples a < b < c, from tables built once.
 
@@ -86,16 +108,17 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     dtype (float, int64 or object), hold the weights w0, w1 and w2 of each
     (i, j) for 1 <= i, j <= N-1, rows by i descending and columns by j
     ascending, so the (a, c) matrix of middle index b, a and c ascending, is
-    the slice [N-1-b : N-1, : N-b].  Every slice lies in the lower-left
-    triangle i + j <= N; the entries past it belong to no triple and are
-    never read.  weights(i, j, den, out) writes them into the three views of
-    out: i a column, j a row, den their sum capped at N, so it may index
-    arrays of length N+1.  The tables are filled in blocks of about 2**16
-    entries, each block of rows up to the triangle's edge at its last row,
-    so weights runs on about half the table and its temporaries stay
-    block-sized.  _chord gives the float weights (lam, 1 - lam, defect) with
-    lam = (c - b)/(c - a) = j/den; the exact scan passes the integers
-    (N*j, N*i, -C*den**2).
+    the slice [N-1-b : N-1, : N-b].  Every such slice lies in the lower-left
+    triangle i + j <= N.  weights(i, j, den, out) writes the weights into
+    the three views of out: i a column, j a row, den their sum capped at N,
+    so it may index arrays of length N+1.  The tables are filled in blocks
+    of about 2**16 entries, each block of rows up to the triangle's edge at
+    its last row plus band - 1 columns, so weights runs on about half the
+    table and its temporaries stay block-sized; the band, entries with
+    N < i + j < N + band, is what row.block reads past the triangle (for
+    N <= 256 one block fills the whole square).  _chord gives the float
+    weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a) = j/den; the
+    exact scan passes the integers (N*j, N*i, -C*den**2).
 
     Returns row.  row(b), for 1 <= b <= N-1, is the (a, c) matrix
 
@@ -109,15 +132,34 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     read.  Every call reads v when made, so a caller may rewrite v between
     calls: the sup writing v[b] sees the update in row b + 1, and the exact
     scan writes F[b] - F into v before row b.
+
+    row.block(b0, b1), for float weights and 1 <= b0 < b1 <= N, evaluates
+    the K = b1 - b0 rows b0..b1-1 at once when its K*(b1-1)*(N-b0) entries
+    are at most _BLOCK_TRIPLES (so K*K*(N-1) <= _BLOCK_TRIPLES), and raises
+    ValueError otherwise.  It returns the (K, b1-1, N-b0) array whose
+    entry [k, r, t] is the triple (b0+k-(b1-1)+r, b0+k, b0+k+1+t), valid
+    until the next block call: every row reads the one window
+    [N-b1 : N-1, : N-b0] of the tables, and v through two sliding windows
+    of a copy of v with +inf on both sides, refreshed at each call, with
+    the same operations in the same order as row.  So [k, b1-1-b0-k :,
+    : N-b0-k] is row(b0+k), bit for bit, and every other entry, a < 0 or
+    c > N, is +inf: its weights are lam = j/den and 1 - lam in
+    [1/N, 1 - 1/N] (den capped at N) and w2, all finite, so no product of
+    finite values overflows, and +inf plus a finite value or +inf is +inf,
+    never NaN.  The padded copy, its windows and the block's buffers are
+    made at the first block call, so callers that read rows only allocate
+    none of them.
     """
     i = np.arange(N - 1, 0, -1)[:, None]
     j = np.arange(1, N)[None, :]
     w0, w1, w2 = (np.empty((N - 1, N - 1), dtype=v.dtype) for _ in range(3))
+    band = max(1, math.isqrt(_BLOCK_TRIPLES // (N - 1)))  # no block holds more rows
     step = max(1, 2**16 // N)
     for r in range(0, N - 1, step):
         end = min(r + step, N - 1)
-        den = i[r:end] + j[:, :end]
-        weights(i[r:end], j[:, :end], np.minimum(den, N, out=den), [w[r:end, :end] for w in (w0, w1, w2)])
+        cols = min(end + band - 1, N - 1)
+        den = i[r:end] + j[:, :cols]
+        weights(i[r:end], j[:, :cols], np.minimum(den, N, out=den), [w[r:end, :cols] for w in (w0, w1, w2)])
     size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
     buf = np.empty(size, dtype=v.dtype)
     tmp = np.empty(size, dtype=v.dtype)
@@ -138,6 +180,30 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         rhs += s2
         return rhs
 
+    pad = band - 1  # v[x] is padded[pad + x]
+    block_state: list = []  # [padded, its windows, two buffers], made at the first block call
+
+    def block(b0: int, b1: int) -> np.ndarray:
+        K = b1 - b0
+        if K * (b1 - 1) * (N - b0) > _BLOCK_TRIPLES:
+            raise ValueError(f"rows {b0}..{b1 - 1} at N={N} hold more than {_BLOCK_TRIPLES} block entries")
+        if not block_state:
+            padded = np.full(pad + 2 * N - 1, np.inf)
+            block_state.extend([padded, np.lib.stride_tricks.sliding_window_view(padded, N - 1),
+                                np.empty(_BLOCK_TRIPLES), np.empty(_BLOCK_TRIPLES)])
+        padded, windows, rhs_buf, part_buf = block_state
+        padded[pad : pad + N + 1] = v
+        sl = np.s_[N - b1 : N - 1, : N - b0]
+        shape = (K, b1 - 1, N - b0)
+        rhs, part = (x[: K * (b1 - 1) * (N - b0)].reshape(shape) for x in (rhs_buf, part_buf))
+        a0 = pad + b0 - (b1 - 1)
+        np.multiply(w0[sl], windows[a0 : a0 + K, : b1 - 1, None], out=rhs)
+        np.multiply(w1[sl], windows[pad + b0 + 1 : pad + b1 + 1, None, : N - b0], out=part)
+        rhs += part
+        rhs += w2[sl]
+        return rhs
+
+    row.block = block  # block refers to no row, so no cycle keeps the tables past their last caller
     return row
 
 

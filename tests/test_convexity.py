@@ -3,15 +3,17 @@ import random
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relconv import convexity
+from relconv import convexity, extremal
 from relconv.convexity import (
     SLACK_TOL,
+    Violation,
     check_almost_convex,
     check_almost_convex_anchored,
     check_endpoint_reduction,
@@ -21,8 +23,8 @@ from relconv.convexity import (
     make_tent,
     sample_concave,
 )
-from relconv.extremal import majorant_grid, majorant_values, parabola_grid
-from relconv.grid import GridFunction, _triple_rows
+from relconv.extremal import estimate_sup, majorant_grid, majorant_values, parabola_grid
+from relconv.grid import GridFunction, _chord, _triple_rows
 
 from conftest import exact_parabola_grid, reference_mean_tuples
 
@@ -218,6 +220,134 @@ class TestAlmostConvex:
         assert len(check_almost_convex(f)) == 58
         with pytest.raises(ValueError, match=msg):
             check_almost_convex(f, **kw)
+
+
+def row_by_row_scan(vals: np.ndarray, tol: float, defect):
+    """Per-row oracle for convexity._float_rows: the kernel's row(b), one
+    middle index at a time, yielding each row's (violations, worst)."""
+    N = len(vals) - 1
+    rhs_row = _triple_rows(N, _chord(defect), vals)
+    for b in range(1, N):
+        rhs = rhs_row(b)
+        lhs = float(vals[b])
+        worst = lhs - float(rhs.min())
+        row = []
+        if worst > tol:
+            with np.errstate(over="ignore"):
+                ai, ci = np.nonzero(lhs - rhs > tol)
+                r = rhs[ai, ci]
+                row = list(map(Violation, ai.tolist(), repeat(b), (ci + b + 1).tolist(), repeat(lhs),
+                               r.tolist(), (r - lhs).tolist()))
+        yield row, worst
+
+
+def row_bits(rows) -> list:
+    """Each row's record types, (a, b, c) and float bits, and its worst's bits."""
+    out = []
+    for records, worst in rows:
+        fields = list(zip(*records)) or [()] * 6
+        types = {(type(v), *map(type, v)) for v in records}
+        floats = np.array(fields[3:], dtype=float).tobytes()
+        out.append((types, fields[:3], floats, "nan" if worst != worst else worst.hex()))
+    return out
+
+
+def assert_rows_match_oracle(vals: np.ndarray, tol: float, defect) -> None:
+    with np.errstate(over="ignore"):  # the kernel's own sums overflow on huge inputs
+        got = row_bits(convexity._float_rows(vals, tol, defect))
+        want = row_bits(row_by_row_scan(vals, tol, defect))
+    assert got == want
+
+
+class TestBlockedFloatRows:
+    @pytest.mark.parametrize("N", [48, 128, 160, 255, 384])
+    def test_blocked_rows_match_per_row_oracle(self, N):
+        # at these N the blocks mix many rows, a few rows and single rows; a
+        # smaller or negative defect makes most triples violations, so those
+        # run at N = 48 only
+        inputs = [sample_concave(N, N, cap=parabola_grid(N)).floats(), 1.05 * majorant_grid(N).floats(),
+                  make_tent(Fraction(N // 4, N), Fraction(4, 5), N).floats()]
+        cps = ((1, 1), (0.5, 1.5), (-1, 1)) if N == 48 else ((1, 1),)
+        for vals in inputs:
+            for c, p in cps:
+                spread = float(c) * (np.arange(N + 1) / N) ** float(p)
+                assert_rows_match_oracle(vals, SLACK_TOL, lambda den, lam: spread[den])
+            assert_rows_match_oracle(vals, SLACK_TOL, lambda den, lam: majorant_values(lam) * (den / N))
+
+    def test_huge_values_match_per_row_oracle(self):
+        rng = np.random.default_rng(3)
+        for N in (32, 48):
+            vals = rng.choice([1.7e308, -1.7e308], N + 1)
+            spread = np.arange(N + 1) / N
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_rows_match_oracle(vals, SLACK_TOL, lambda den, lam: spread[den])
+
+    def test_nan_row_beside_violating_row(self):
+        # rows 1..18 of N = 48 are one block.  Row 5 reads +inf at b and +inf
+        # at every triple, where the defect pushes the chord past the float
+        # range, so its worst is inf - inf = NaN.  In row 6 the triples with
+        # i = b - a = 6 (a = 0) carry no defect and fall below f(6).
+        N = 48
+        vals = np.full(N + 1, 1e308)
+        vals[0], vals[5] = 0.0, np.inf
+
+        def defect(den, lam):
+            return np.where(np.rint(den * (1.0 - lam)) == 6, 0.0, 1.79e308)
+
+        with np.errstate(over="ignore"):
+            rows = list(convexity._float_rows(vals, SLACK_TOL, defect))
+        assert math.isnan(rows[4][1]) and rows[4][0] == []
+        assert rows[5][1] > SLACK_TOL and [v.a for v in rows[5][0]] == [0] * (N - 6)
+        assert_rows_match_oracle(vals, SLACK_TOL, defect)
+
+    def test_signed_zero_worst_matches_per_row_oracle(self):
+        # with c = -0.0 every rhs is a signed zero, and f[b] = -0.0 minus a
+        # row minimum of either sign is -0.0 or 0.0
+        rng = np.random.default_rng(0)
+        N = 48
+        vals = rng.choice([0.0, -0.0], N + 1)
+        spread = -0.0 * (np.arange(N + 1) / N)
+        assert_rows_match_oracle(vals, SLACK_TOL, lambda den, lam: spread[den])
+        out = check_almost_convex(GridFunction(N, vals), -0.0)
+        assert not out and out.max_slack == 0.0
+
+    def test_endpoint_verdicts_match_per_row_oracle(self):
+        N = 48
+        spread = np.arange(N + 1) / N
+
+        def oracle(f):
+            full_ok = True
+            for row, _ in row_by_row_scan(f.floats(), SLACK_TOL, lambda den, lam: spread[den]):
+                if any(v.a == 0 or v.c == N for v in row):
+                    return False, False
+                full_ok = full_ok and not row
+            return True, full_ok
+
+        caps = [None, parabola_grid(N), majorant_grid(N)]
+        verdicts = []
+        for seed in range(1000):  # the samples of test_endpoint_check_is_decisive_for_concave_functions
+            g = scaled(sample_concave(N, seed, cap=caps[seed % 3]), (0.5, 1.0, 2.0, 4.0)[seed % 4])
+            verdicts.append(check_endpoint_reduction(g))
+            assert verdicts[-1] == oracle(g)
+        assert set(verdicts) == {(True, True), (False, False)}
+
+    def test_sup_and_exact_scan_read_rows_only(self, monkeypatch):
+        blocks = []
+
+        def spy(N, weights, v):
+            row = _triple_rows(N, weights, v)
+            block = row.block
+            row.block = lambda b0, b1: blocks.append((b0, b1)) or block(b0, b1)
+            return row
+
+        monkeypatch.setattr(convexity, "_triple_rows", spy)
+        monkeypatch.setattr(extremal, "_triple_rows", spy)
+        estimate_sup(1.5, 48)
+        assert check_almost_convex(make_tent(Fraction(1, 4), Fraction(4, 5), 48))
+        assert blocks == []
+        check_almost_convex(majorant_grid(48))  # the float scan does read blocks
+        assert blocks
 
 
 class TestAnchored:

@@ -1,9 +1,13 @@
+import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from relconv.grid import GridFunction, _chord, _triple_rows, read_csv, write_csv
+from relconv import grid
+from relconv.extremal import majorant_values
+from relconv.grid import _BLOCK_TRIPLES, GridFunction, _chord, _row_blocks, _triple_rows, read_csv, write_csv
 
 
 def test_resolution_and_length_validation():
@@ -111,3 +115,75 @@ def test_triple_rows_match_per_row_construction(N):
             want = N * (c - b) * F[:b, None] + N * (b - a) * F[None, b + 1:] + C * (c - a) * (c - a)
             got = row(b)
             assert got.dtype == F.dtype and got.tolist() == want.tolist()
+
+
+def block_fits(N, b0, b1):
+    """A block of rows b0..b1-1 fits: its K*(b1-1)*(N-b0) entries are within _BLOCK_TRIPLES."""
+    return (b1 - b0) * (b1 - 1) * (N - b0) <= _BLOCK_TRIPLES
+
+
+class NanEmpty:
+    """numpy with empty() filled with NaN: a table entry the fill misses reads NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype=dtype)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 48, 97, 263, 445])
+def test_triple_blocks_are_padded_rows(monkeypatch, N):
+    # past N = 256 the fill leaves part of the square unfilled, so 263 and
+    # 445 fail unless the fill covers the band that blocks read past the triangle
+    monkeypatch.setattr(grid, "np", NanEmpty())
+    rng = np.random.default_rng(N)
+    spread = (np.arange(N + 1) / N) ** 1.5
+    defects = [lambda den, lam: spread[den], lambda den, lam: majorant_values(lam) * (den / N)]
+    values = [rng.standard_normal(N + 1), rng.choice([1.7e308, -1.7e308], N + 1)]
+    blocks = list(_row_blocks(N))
+    # the scan's blocks cover the rows 1..N-1 in order, each as large as fits;
+    # a row too large for any block is read alone, with row(b0)
+    assert [b0 for b0, _ in blocks] == [1] + [b1 for _, b1 in blocks[:-1]] and blocks[-1][1] == N
+    assert all(b1 == b0 + 1 or block_fits(N, b0, b1) for b0, b1 in blocks)
+    assert all(b1 == N or not block_fits(N, b0, b1 + 1) for b0, b1 in blocks)
+    blocks = [(b0, b1) for b0, b1 in blocks if b1 > b0 + 1]
+    fit = [b for b in range(1, N) if block_fits(N, b, b + 1)]
+    for _ in range(20):
+        b0 = int(rng.choice(fit))
+        b1 = b0 + 1
+        while b1 < N and block_fits(N, b0, b1 + 1) and rng.random() < 0.8:
+            b1 += 1
+        blocks.append((b0, b1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for defect in defects:
+            for v in values:
+                row = _triple_rows(N, _chord(defect), v)
+                for b0, b1 in blocks:
+                    got = row.block(b0, b1).copy()
+                    assert got.shape == (b1 - b0, b1 - 1, N - b0) and not np.isnan(got).any()
+                    for k, b in enumerate(range(b0, b1)):
+                        inside = np.s_[b1 - 1 - b :, : N - b]
+                        assert got[k][inside].tobytes() == row(b).tobytes()
+                        got[k][inside] = np.inf
+                    assert (got == np.inf).all()
+
+
+def test_triple_rows_free_without_the_cycle_collector():
+    # the tables go with the last reference to row, not at a later gc pass
+    row = _triple_rows(64, _chord(lambda den, lam: 0.0 * lam), np.zeros(65))
+    row.block(1, 4)
+    ref = weakref.ref(row)
+    del row
+    assert ref() is None
+
+
+def test_triple_block_size_is_bounded():
+    row = _triple_rows(400, _chord(lambda den, lam: 0.0 * lam), np.zeros(401))
+    assert row.block(1, 7).shape == (6, 6, 399)
+    with pytest.raises(ValueError, match="rows 1..7 at N=400 hold more than 16384 block entries"):
+        row.block(1, 8)
+    with pytest.raises(ValueError, match="rows 200..200 at N=400 hold more than 16384 block entries"):
+        row.block(200, 201)  # a row that large is read with row(200)
