@@ -199,24 +199,28 @@ def estimate_sup(
     last decrease, not the distance to the supremum, which is larger where
     the sweeps contract slowly.
 
-    Each sweep after the first re-reads row b only where its inputs may
-    have changed since row b was last read.  With g[w-1] the last value
-    this sweep has written and g[last-1] the last value the previous sweep
-    wrote: when last > b + 1 some column c > b changed, and the whole row
-    is read; otherwise, when w > 1, only its rows 0 < a < w are read (see
-    grid._triple_rows; the a = 0 row's inputs g[0] and g[c], c > b, have not
-    changed); otherwise no row from b on has a changed input, and the sweep
-    ends.  No entry ever increases, an unread entry keeps its bits, and g[b]
-    is at most every entry of row b as last read, so each update is a full
-    sweep's bit for bit.
+    A sweep pulls or pushes.  A pull sweep reads every row whole.  A push
+    sweep keeps acc[b], the least new entry of row b so far (see
+    grid._triple_rows' row.push): at its start, each index c the previous
+    sweep lowered pushes column c of every row b < c, with the sweep-start
+    g; when it lowers g[b], it pushes row b of every row b' > b, with the
+    current g; and its update at b reads acc[b] alone.  An entry with an
+    old g[a] is at least the fresh one, which a's row push brings, since
+    lam and 1 - lam are >= 0 and rounding is monotone; an entry whose
+    inputs did not change since the previous sweep visited b is at least
+    g[b].  So acc[b] < g[b] exactly when the fresh row's minimum is, and
+    then the two are the same float: each update is a full sweep's, bit for
+    bit.  A sweep pushes when the pushes of the previous sweep's changes
+    would read fewer triples than a full sweep; so the first sweep pulls,
+    and usually the second, as does the one sweep at p >= 2.
 
     Raises ValueError unless p and tol are positive and finite, and ConvergenceError
     (carrying the last iterate) if max_iters sweeps do not reach tol.
     Mutates `stats`, when given, with the sweep count `iterations`, the
-    triples one sweep visits `triples`, the (a, c) entries each sweep
-    actually evaluated `triples_read`, the per-sweep wall times `sweep_ms`,
-    the per-sweep largest decreases `decreases`, the last of them
-    `last_decrease`, and `converged`.  The triple geometry is
+    triples one sweep visits `triples`, the triples each sweep actually
+    evaluated `triples_read` (slab pads excluded), the per-sweep wall times
+    `sweep_ms`, the per-sweep largest decreases `decreases`, the last of
+    them `last_decrease`, and `converged`.  The triple geometry is
     built once per call (see grid._triple_rows): O(N^2) memory.
     """
     if N < 2:
@@ -231,40 +235,48 @@ def estimate_sup(
     g = np.minimum(sup_closed_form(p, N).floats(), 1.0)
     spread = (np.arange(N + 1) / N) ** p
     row = _triple_rows(N, _chord(lambda den, lam: spread[den]), g)
+    triples = (N + 1) * N * (N - 1) // 6  # the sum over b of b*(N - b)
+    k = np.arange(N + 1)
+    with_c = k * (k - 1) // 2  # with_c[c]: the triples (a, b, c) with that c; with_a[a], with that a
+    with_a = with_c[::-1]
+    acc = np.empty(N + 1)
+
+    def push(**outer):
+        for b, s in row.push(**outer):
+            least = acc[b : b - len(s) : -1]
+            np.minimum(least, s.min(axis=1), out=least)
 
     decreases = []
     sweep_ms = []
     triples_read = []
-    # g[1:w] holds every value this sweep has written so far, g[1:last] every
-    # value the previous sweep wrote (g[0] and g[N] never change); the first
-    # sweep reads every row whole
-    last = N + 1
+    lowered = None  # the indices the previous sweep lowered, None before the first sweep
     while len(decreases) < max_iters:
         max_dec = 0.0
-        w = 1
-        read = 0
         start = perf_counter()
+        pushing = lowered is not None and int(with_c[lowered].sum() + with_a[lowered].sum()) < triples
+        if pushing:
+            acc.fill(np.inf)
+            for c in lowered:
+                push(c=c)
+        pushed, lowered = lowered, []
         for b in range(1, N):
-            if last <= b + 1 and w == 1:
-                break  # no later row has a changed input either
-            r = row(b, None if last > b + 1 else slice(1, w))
-            read += r.size
-            m = r.min()
+            m = acc[b] if pushing else row(b).min()
             if m < g[b]:
                 max_dec = max(max_dec, g[b] - m)
                 g[b] = m
-                w = b + 1
+                lowered.append(b)
+                if pushing:
+                    push(a=b)
         sweep_ms.append((perf_counter() - start) * 1e3)
         decreases.append(float(max_dec))
-        triples_read.append(read)
-        last = w
+        triples_read.append(int(with_c[pushed].sum() + with_a[lowered].sum()) if pushing else triples)
         if max_dec < tol:
             break
     result = GridFunction(N, g, label=f"sup-estimate[p={p}]")
     converged = decreases[-1] < tol
     if stats is not None:
         stats["iterations"] = len(decreases)
-        stats["triples"] = triples_read[0]  # the first sweep reads every row whole
+        stats["triples"] = triples
         stats["triples_read"] = triples_read
         stats["sweep_ms"] = sweep_ms
         stats["decreases"] = decreases

@@ -115,23 +115,21 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     of about 2**16 entries, each block of rows up to the triangle's edge at
     its last row plus band - 1 columns, so weights runs on about half the
     table and its temporaries stay block-sized; the band, entries with
-    N < i + j < N + band, is what row.block reads past the triangle (for
-    N <= 256 one block fills the whole square).  _chord gives the float
-    weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a) = j/den; the
-    exact scan passes the integers (N*j, N*i, -C*den**2).
+    N < i + j < N + band, is what row.block and row.push read past the
+    triangle (for N <= 256 one block fills the whole square).  _chord gives
+    the float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a) =
+    j/den; the exact scan passes the integers (N*j, N*i, -C*den**2).
 
     Returns row.  row(b), for 1 <= b <= N-1, is the (a, c) matrix
 
         rhs = w0*v[a] + w1*v[c] + w2
 
     evaluated in that order, through views of the tables, of v and of the
-    work buffers; the next call overwrites it.  row(b, rows), rows a slice
-    of the rows a in 0..b-1, evaluates only those rows, entry for entry the
-    same values, and returns them.  Row b's views are made at its first
-    call and kept, so a caller that stops early pays only for the rows it
-    read.  Every call reads v when made, so a caller may rewrite v between
-    calls: the sup writing v[b] sees the update in row b + 1, and the exact
-    scan writes F[b] - F into v before row b.
+    work buffers; the next call overwrites it.  Row b's views are made at
+    its first call and kept, so a caller that stops early pays only for the
+    rows it read.  Every call reads v when made, so a caller may rewrite v
+    between calls: the sup writing v[b] sees the update in row b + 1, and
+    the exact scan writes F[b] - F into v before row b.
 
     row.block(b0, b1), for float weights and 1 <= b0 < b1 <= N, evaluates
     the K = b1 - b0 rows b0..b1-1 at once when its K*(b1-1)*(N-b0) entries
@@ -146,14 +144,31 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     c > N, is +inf: its weights are lam = j/den and 1 - lam in
     [1/N, 1 - 1/N] (den capped at N) and w2, all finite, so no product of
     finite values overflows, and +inf plus a finite value or +inf is +inf,
-    never NaN.  The padded copy, its windows and the block's buffers are
-    made at the first block call, so callers that read rows only allocate
-    none of them.
+    never NaN.
+
+    row.push(a=a) and row.push(c=c), for float weights, evaluate every
+    triple with that one outer index: (a, b, c) for a < b < c <= N, or for
+    0 <= a < b < c, that is, row a of every row(b), b > a, or column c of
+    every row(b), b < c.  These offsets fill the triangle i + j <= L of the
+    tables, L = N - a or c, which push reads in slabs of consecutive i, from
+    i = L - 1 down: each slab is its K rows of i by the L - i0 columns of
+    its widest row i0, at most _BLOCK_TRIPLES entries when L - i0 <=
+    _BLOCK_TRIPLES, so K <= band and it reads no table entry past the band.
+    push yields (b, s) per slab, valid until the next step: s[k] holds
+    entries of middle index b - k, in the same operations and order as
+    row, and +inf for a < 0 or c > N as in block.  Given a, s[k] is row a
+    of row(b - k), c ascending, then +inf; given c, the slabs' s[k] of one
+    middle index, concatenated, are +inf and then column c of its row, a
+    ascending.  The outer value enters as a scalar and the other through
+    windows of the padded copy, which holds v reversed for c.  The padded
+    copy, its windows and the two buffers block and push share are made at
+    the first call of either, so callers that read rows only allocate none
+    of them.
     """
     i = np.arange(N - 1, 0, -1)[:, None]
     j = np.arange(1, N)[None, :]
     w0, w1, w2 = (np.empty((N - 1, N - 1), dtype=v.dtype) for _ in range(3))
-    band = max(1, math.isqrt(_BLOCK_TRIPLES // (N - 1)))  # no block holds more rows
+    band = math.isqrt(_BLOCK_TRIPLES)  # no block or slab holds more rows
     step = max(1, 2**16 // N)
     for r in range(0, N - 1, step):
         end = min(r + step, N - 1)
@@ -165,15 +180,13 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     tmp = np.empty(size, dtype=v.dtype)
     views: list = [None] * N  # views[b]: row b's views, made at its first call
 
-    def row(b: int, rows: slice | None = None) -> np.ndarray:
+    def row(b: int) -> np.ndarray:
         if views[b] is None:
             sl = np.s_[N - 1 - b : N - 1, : N - b]
             shape = (b, N - b)
             views[b] = (w0[sl], w1[sl], w2[sl], v[:b, None], v[None, b + 1 :],
                         buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape))
         s0, s1, s2, va, vc, rhs, part = views[b]
-        if rows is not None:
-            s0, s1, s2, va, rhs, part = (x[rows] for x in (s0, s1, s2, va, rhs, part))
         np.multiply(s0, va, out=rhs)
         np.multiply(s1, vc, out=part)
         rhs += part
@@ -181,18 +194,22 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         return rhs
 
     pad = band - 1  # v[x] is padded[pad + x]
-    block_state: list = []  # [padded, its windows, two buffers], made at the first block call
+    state: list = []  # [padded, its windows, two buffers], made at the first block or push call
+
+    def shared(values: np.ndarray) -> list:
+        if not state:
+            padded = np.full(pad + 2 * N - 1, np.inf)
+            size = max(_BLOCK_TRIPLES, N - 1)  # a slab is one row when a row is wider than a block
+            state.extend([padded, np.lib.stride_tricks.sliding_window_view(padded, N - 1),
+                          np.empty(size), np.empty(size)])
+        state[0][pad : pad + N + 1] = values
+        return state
 
     def block(b0: int, b1: int) -> np.ndarray:
         K = b1 - b0
         if K * (b1 - 1) * (N - b0) > _BLOCK_TRIPLES:
             raise ValueError(f"rows {b0}..{b1 - 1} at N={N} hold more than {_BLOCK_TRIPLES} block entries")
-        if not block_state:
-            padded = np.full(pad + 2 * N - 1, np.inf)
-            block_state.extend([padded, np.lib.stride_tricks.sliding_window_view(padded, N - 1),
-                                np.empty(_BLOCK_TRIPLES), np.empty(_BLOCK_TRIPLES)])
-        padded, windows, rhs_buf, part_buf = block_state
-        padded[pad : pad + N + 1] = v
+        _, windows, rhs_buf, part_buf = shared(v)
         sl = np.s_[N - b1 : N - 1, : N - b0]
         shape = (K, b1 - 1, N - b0)
         rhs, part = (x[: K * (b1 - 1) * (N - b0)].reshape(shape) for x in (rhs_buf, part_buf))
@@ -203,7 +220,29 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         rhs += w2[sl]
         return rhs
 
-    row.block = block  # block refers to no row, so no cycle keeps the tables past their last caller
+    def push(a: int | None = None, c: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+        # with o = a, or o = N - c on v reversed, row i of a slab reads the
+        # other index's values at padded[pad + o + i + 1 :]
+        o = a if c is None else N - c
+        _, windows, rhs_buf, part_buf = shared(v if c is None else v[::-1])
+        x = v[a] if c is None else v[c]
+        L = i1 = N - o
+        while i1 > 1:
+            d = L - i1  # K: the most rows with K*(d + K) <= _BLOCK_TRIPLES, a slab being d + K wide
+            K = min(i1 - 1, max(1, (math.isqrt(d * d + 4 * _BLOCK_TRIPLES) - d) // 2))
+            i0 = i1 - K
+            sl = np.s_[N - i1 : N - i0, : L - i0]
+            rhs, part = (y[: K * (L - i0)].reshape(K, L - i0) for y in (rhs_buf, part_buf))
+            other = windows[pad + o + i1 : pad + o + i0 : -1, : L - i0]
+            np.multiply(w0[sl], x if c is None else other, out=rhs)
+            np.multiply(w1[sl], other if c is None else x, out=part)
+            rhs += part
+            rhs += w2[sl]
+            yield (a + i1 - 1, rhs) if c is None else (c - 1, rhs.T)
+            i1 = i0
+
+    row.block = block  # neither refers to row, so no cycle keeps the tables past their last caller
+    row.push = push
     return row
 
 

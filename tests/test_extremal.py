@@ -19,7 +19,7 @@ from relconv.extremal import (
     sup_closed_form,
 )
 from relconv.convexity import check_almost_convex
-from relconv.grid import _chord, _triple_rows
+from relconv.grid import _triple_rows
 
 from conftest import exact_parabola_grid, reference_majorant
 
@@ -276,10 +276,11 @@ def full_row_sweeps(p: float, N: int, tol: float, start: np.ndarray | None = Non
 
 
 class TestDirtySweeps:
-    # p >= 2 starts at the fixed point and takes one sweep, so p = 1.75 is the
-    # third exponent whose sweeps exercise the dirty-range reads
-    @pytest.mark.parametrize("p", [1, 1.5, 1.75])
-    @pytest.mark.parametrize("N", [48, 97, 160, 255])
+    # p >= 2 starts at the fixed point and takes one sweep, so p = 1.75 and
+    # 1.9 are the exponents past 1.5 whose sweeps exercise the push sweeps;
+    # past N = 256 the table fill stops short of the whole square
+    @pytest.mark.parametrize("p", [1, 1.5, 1.75, 1.9])
+    @pytest.mark.parametrize("N", [48, 97, 160, 255, 257, 300])
     def test_match_full_row_sweeps_bit_for_bit(self, N, p):
         iterates, decreases = full_row_sweeps(p, N, 1e-9)
         assert len(iterates) > 3
@@ -293,82 +294,68 @@ class TestDirtySweeps:
             assert g.floats().tobytes() == iterates[k - 1].tobytes()
             assert (stats["iterations"], stats["decreases"]) == (k, decreases[:k])
 
-    @pytest.mark.parametrize("N", [9, 40, 131])
-    def test_row_prefix_equals_whole_row_prefix(self, N):
-        # Rows are visited in random order and first called with a random
-        # slice of rows, so views are built out of order and by either form
-        # of call.
-        rng = np.random.default_rng(N)
-        v = np.empty(N + 1)
-        spread = (np.arange(N + 1) / N) ** 1.5
-        row = _triple_rows(N, _chord(lambda den, lam: spread[den]), v)
-        for b in rng.permutation(np.arange(1, N)).tolist():
-            v[:] = rng.random(N + 1)
-            bounds = [sorted(rng.choice(b + 1, 2, replace=False).tolist()) for _ in range(b + 1)]
-            first = row(b, slice(*bounds[0])).copy()
-            whole = row(b).copy()
-            assert whole.shape == (b, N - b)
-            assert first.tobytes() == whole[slice(*bounds[0])].tobytes()
-            for lo, hi in bounds[1:]:
-                assert row(b, slice(lo, hi)).tobytes() == whole[lo:hi].tobytes()
-
-    @pytest.mark.parametrize("p, N", [(1, 64), (1.5, 97)])
-    def test_blocks_cover_every_changed_input(self, monkeypatch, p, N):
-        # Each sweep visits every row once: it reads the whole row, reads a
-        # prefix of rows 0 < a < w, or skips it.  The rows read must hold every
-        # value of g that changed since the row was last read (g[b] itself is
-        # no input of row b), and a skipped row must have no changed input.
+    @pytest.mark.parametrize("p, N", [(1, 64), (1.5, 97), (1.9, 80)])
+    def test_pushes_cover_every_changed_input(self, monkeypatch, p, N):
+        # A pull sweep reads every row whole.  In a push sweep, every value of
+        # g that changed since row b's visit in the previous sweep (g[b] itself
+        # is no input of row b) must reach row b through a push: a column push
+        # of c > b at the sweep start, or a row push of a < b, each made with
+        # the new value in g.  The pushes are exactly those of the changed
+        # values, so a push sweep reads no more than it needs.
         calls = []
 
         def spy(N, weights, v):
             row = _triple_rows(N, weights, v)
 
-            def row_spy(b, rows=None):
-                calls.append((b, v.copy(), rows))
-                return row(b, rows)
+            def row_spy(b):
+                rhs = row(b)
+                calls.append(("row", b, v.copy(), rhs.shape))
+                return rhs
 
+            def push_spy(**outer):
+                ((side, x),) = outer.items()
+                calls.append((side, x, v.copy(), None))
+                return row.push(**outer)
+
+            row_spy.push = push_spy
             return row_spy
 
         monkeypatch.setattr(extremal, "_triple_rows", spy)
         stats: dict = {}
-        final = estimate_sup(p, N, stats=stats).floats()
-        # A sweep reads row 1 whole when its predecessor wrote past g[1], and
-        # else reads nothing, writes nothing and is the last: so each sweep
-        # but perhaps the last starts with row 1.
-        sweeps: list[dict] = []
-        for b, v, rows in calls:
-            if b == 1:
-                sweeps.append({})
-            sweeps[-1][b] = (v, rows)
-        assert stats["iterations"] - 1 <= len(sweeps) <= stats["iterations"]
-        assert [rows for _, rows in sweeps[0].values()] == [None] * (N - 1)
-        sweeps += [{}] * (stats["iterations"] - len(sweeps))
-
-        last_read: dict = {}
-
-        def changed(b, v):
-            return [i for i in np.flatnonzero(v != last_read[b]).tolist() if i != b]
-
-        skipped: list[int] = []
-        prefixes = skips = 0
-        for sweep in sweeps:
+        estimate_sup(p, N, stats=stats)
+        iterates, _ = full_row_sweeps(p, N, 1e-9)
+        G = [sup_start(p, N)] + iterates  # sweep k takes G[k] to G[k + 1]
+        # a sweep starts with row 1 (a pull) or with a column push after other calls (a push)
+        sweeps: list[list] = []
+        for call in calls:
+            if call[0] == "row" and call[1] == 1 or call[0] == "c" and (not sweeps or sweeps[-1][-1][0] != "c"):
+                sweeps.append([])
+            sweeps[-1].append(call)
+        assert len(sweeps) == stats["iterations"] == len(iterates)
+        pulls = pushes = 0
+        for k, sweep in enumerate(sweeps):
+            before, after = G[k], G[k + 1]
+            if sweep[0][0] == "row":
+                pulls += 1
+                assert [(b, shape) for _, b, _, shape in sweep] == [(b, (b, N - b)) for b in range(1, N)]
+                for _, b, v, _ in sweep:
+                    assert v.tobytes() == np.concatenate([after[:b], before[b:]]).tobytes()
+                continue
+            pushes += 1
+            cols = [x for side, x, _, _ in sweep if side == "c"]
+            rows = [x for side, x, _, _ in sweep if side == "a"]
+            assert [side for side, *_ in sweep] == ["c"] * len(cols) + ["a"] * len(rows)
+            for side, x, v, _ in sweep:
+                now = before if side == "c" else np.concatenate([after[: x + 1], before[x + 1 :]])
+                assert v.tobytes() == now.tobytes()
             for b in range(1, N):
-                if b not in sweep:
-                    skipped.append(b)
-                    continue
-                # a skip writes nothing, so a skipped row saw the v of the next read
-                v, rows = sweep[b]
-                assert all(changed(s, v) == [] for s in skipped), skipped
-                skips += len(skipped)
-                skipped = []
-                if rows is not None:
-                    assert rows.start == 1, rows
-                    assert all(rows.start <= i < rows.stop for i in changed(b, v)), (b, rows, changed(b, v))
-                    prefixes += 1
-                last_read[b] = v
-        assert all(changed(s, final) == [] for s in skipped), skipped
-        skips += len(skipped)
-        assert prefixes and skips
+                changed = set(np.flatnonzero(after[:b] != before[:b]).tolist())
+                changed |= {i for i in np.flatnonzero(before != G[k - 1]).tolist() if i > b}
+                reached = {a for a in rows if a < b} | {c for c in cols if c > b}
+                assert changed <= reached, (k, b, changed - reached)
+            assert cols == np.flatnonzero(before != G[k - 1]).tolist()
+            assert rows == np.flatnonzero(after != before).tolist()
+        assert sweeps[0][0][0] == "row" and pulls >= 2 and pushes >= 2
 
     @pytest.mark.parametrize("p, N", [(1, 128), (1.5, 64), (2, 32)])
     def test_triples_read(self, p, N):

@@ -171,6 +171,42 @@ def test_triple_blocks_are_padded_rows(monkeypatch, N):
                     assert (got == np.inf).all()
 
 
+@pytest.mark.parametrize("N", [2, 3, 5, 48, 255, 256, 257, 263, 445, 512])
+def test_triple_pushes_are_padded_rows(monkeypatch, N):
+    # past N = 256 the fill leaves part of the square unfilled, so the larger
+    # sizes fail unless the fill covers the band that slabs read past the triangle
+    monkeypatch.setattr(grid, "np", NanEmpty())
+    rng = np.random.default_rng(N)
+    spread = (np.arange(N + 1) / N) ** 1.5
+    defects = [lambda den, lam: spread[den], lambda den, lam: majorant_values(lam) * (den / N)]
+    values = [rng.standard_normal(N + 1), rng.choice([1.7e308, -1.7e308], N + 1)]
+    # both ends of each outer index's range, where slabs reach furthest past the triangle, and a few between
+    outer_a = sorted({0, 1, N - 3, N - 2, *rng.integers(0, N - 1, 3).tolist()} & set(range(N - 1)))
+    outer_c = sorted({2, 3, N - 1, N, *rng.integers(2, N + 1, 3).tolist()} & set(range(2, N + 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for defect in defects:
+            for v in values:
+                row = _triple_rows(N, _chord(defect), v)
+                got: dict = {}  # (outer side, outer index, middle index b) -> the entries pushed to b
+                for side, outer in [("a", a) for a in outer_a] + [("c", c) for c in outer_c]:
+                    for b, s in row.push(**{side: outer}):
+                        assert s.shape[0] <= b and not np.isnan(s).any()
+                        for k in range(len(s)):
+                            got.setdefault((side, outer, b - k), []).append(s[k].copy())
+                for b in range(1, N):
+                    r = row(b)
+                    for a in outer_a:
+                        if a < b:
+                            x = np.concatenate(got.pop(("a", a, b)))  # c = b+1.., then pads
+                            assert x[: N - b].tobytes() == r[a].tobytes() and (x[N - b :] == np.inf).all()
+                    for c in outer_c:
+                        if c > b:
+                            x = np.concatenate(got.pop(("c", c, b)))  # pads, then a = 0..b-1
+                            assert x[-b:].tobytes() == r[:, c - b - 1].tobytes() and (x[:-b] == np.inf).all()
+                assert not got  # no push reaches a middle index outside its triples
+
+
 def test_triple_rows_free_without_the_cycle_collector():
     # the tables go with the last reference to row, not at a later gc pass
     row = _triple_rows(64, _chord(lambda den, lam: 0.0 * lam), np.zeros(65))
