@@ -96,8 +96,20 @@ def _emit(args, config: dict, body: dict) -> None:
         _write_json(args.out, {"schema_version": SCHEMA_VERSION, "config": config, **body})
 
 
+def _exact(name: str, text: str, low: int | None = None, high: int | None = None) -> Fraction:
+    """The exact number `text` spells, within [low, high] when given; a
+    ValueError otherwise, naming the argument and quoting it as typed."""
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be p/q with q > 0 or a decimal, got {text!r}") from None
+    if low is not None and not low <= x <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {text!r}")
+    return x
+
+
 def _cmd_eval_f(args) -> int:
-    x = Fraction(args.x)
+    x = _exact("--x", args.x, 0, 1)
     mv = majorant(x)
     print(f"F({args.x}) = {mv.value!r}  (k = {mv.branch})")
     _emit(args, {"x": args.x}, {"value": mv.value, "k": mv.branch})
@@ -146,7 +158,7 @@ def _load_fn(source: str, n: int | None) -> GridFunction:
             return parabola_grid(n)
         if rest.startswith("tent:") and rest.count(",") == 1:
             x0_s, h0_s = rest[len("tent:"):].split(",")
-            return make_tent(Fraction(x0_s), Fraction(h0_s), n)
+            return make_tent(_exact("tent x0", x0_s, 0, 1), _exact("tent h0", h0_s), n)
         raise ValueError(f"unknown builtin {rest!r} (want F, parabola, or tent:x0,h0)")
     return read_csv(source)
 

@@ -256,7 +256,14 @@ def _mean_blocks(vals: np.ndarray, m: int, blocks: Iterable[np.ndarray]) -> Iter
         lhs = vals[sum(xs.T) // m]  # whole columns: xs.sum(axis=1) loops once per short row
         # huge finite values give infinite gaps, and NaN ones where a row sum adds +inf to -inf
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = vals[xs].mean(axis=1) + (xs[:, -1] - xs[:, 0]) / N
+            if m <= 7:  # numpy's row sum adds fewer than 8 values in order, from the first
+                total = vals[xs[:, 0]]  # not builtin sum, whose int 0 start turns -0.0 into 0.0
+                for k in range(1, m):
+                    total += vals[xs[:, k]]
+                mean = total / m
+            else:
+                mean = vals[xs].mean(axis=1)
+            rhs = mean + (xs[:, -1] - xs[:, 0]) / N
             gap = lhs - rhs
             bad = np.flatnonzero(gap > SLACK_TOL)
             # schema 1 reports an m = 2 record's rhs as lhs - gap

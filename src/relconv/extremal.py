@@ -199,8 +199,61 @@ def estimate_sup(
     last decrease, not the distance to the supremum, which is larger where
     the sweeps contract slowly.
 
-    A sweep pulls or pushes.  A pull sweep reads every row whole.  A push
-    sweep keeps acc[b], the least new entry of row b so far (see
+    A sweep pulls or pushes.  A pull sweep reads each row whole, or only
+    its symmetric triples (b-i, b, b+i) (grid._triple_rows' row.diagonal)
+    when no other triple can lower it, by this rule.  Let cc =
+    (2/N)**max(p-2, 0) and h = cc*4x(1-x) at x = b/N.  A triple with offsets
+    i = b - a and j = c - b, span s = (i+j)/N and lam = j/(i+j) has h-gap
+    cc*4lam(1-lam)s**2 = cc*4ij/N**2 <= cc*s**2 <= s**p (s <= 1 = cc for
+    p <= 2, s >= 2/N for p >= 2, as in sup_closed_form), so h is a member,
+    and the triple's slack against h,
+
+        sigma(i, j) = s**p - cc*4ij/N**2 >= cc*(i-j)**2/N**2,
+
+    is at least cc/N**2 when i != j, whatever b.  A sweep from g >= h keeps
+    g >= h, since each rhs of g is at least that of h; so with E the largest
+    h[x] - g[x] when row b is read, every asymmetric entry is at least
+    h[b] + cc/N**2 - E, less rounding.  When g[b] lies below that, none is
+    below g[b], and the row's minimum, when below g[b], is the least
+    symmetric entry, the same float.  In a pull sweep, g[b] at row b's read
+    is its sweep-start value, so one comparison at the sweep start picks
+    the rows:
+
+        g - h < cc/N**2 - margin,  margin = E0 + (N + 2)*r,
+        r = (p + 12)*u*cc + 2**-1070,  u = 2**-53,
+
+    with E0 the largest h - g (or 0) at the sweep start.  The margin
+    covers, with g <= cc*(1 + (p+4)u) (the start is) and every term
+    nonnegative:
+    - the weights: fl(j/den) is lam within lam*u, and 1 - fl(lam) rounds
+      once more, so the two products miss lam*g[a] + (1-lam)*g[c] by at
+      most 3u*cc;
+    - the spread fl(fl(den/N)**p) is s**p within (p+2)u relative (u for
+      den/N, p times that through the power, and pow's own ulp); since
+      s**p >= cc*s**2, that error is charged to sigma at (p+2)u*cc;
+    - the two products and two adds of the rhs: 3u relative, 3u*cc and
+      3u*s**p, the latter charged as above.  So an entry's float is at least
+      h[b] + cc*(i-j)**2/N**2 - E - (p+11)u*cc;
+    - with i = j this is how far one update may land below h, the drift:
+      updates chain within a sweep, so E at a read is at most E0 plus
+      N - 2 such steps, plus the error of h's float, (p+5)u*cc from pow in
+      cc and two roundings; E0 is measured anew each sweep, since the
+      drift also accumulates across sweeps (at tol = 1e-20, p = 3 and
+      N = 97 the iterate creeps down by ulps for tens of sweeps);
+    - the test g - h < ... reads h's float, and its subtraction and
+      threshold round: (p+8)u*cc in all;
+    - 2**-1070 bounds eight roundings' absolute error in the subnormal
+      range, 2**-1074 each.
+    The sum, E0 + ((N-2)(p+11) + 3p + 24)u*cc and N + 1 absolute terms, is
+    below the margin.  The rule applies only when cc/N**3 is a normal
+    float, so that h, the spreads and the products it bounds are normal
+    too; otherwise (at N = 8, p = 527 makes cc subnormal and
+    p = 1023.5 makes it 0) every row is read whole.  At p >= 2 the start is
+    h, every row qualifies and a sweep reads the sum over b of
+    min(b, N-b), about N**2/4 triples; at p < 2 only rows where g meets the
+    parabola do, b = N/2 at even N.
+
+    A push sweep keeps acc[b], the least new entry of row b so far (see
     grid._triple_rows' row.push): at its start, each index c the previous
     sweep lowered pushes column c of every row b < c, with the sweep-start
     g; when it lowers g[b], it pushes row b of every row b' > b, with the
@@ -208,11 +261,11 @@ def estimate_sup(
     old g[a] is at least the fresh one, which a's row push brings, since
     lam and 1 - lam are >= 0 and rounding is monotone; an entry whose
     inputs did not change since the previous sweep visited b is at least
-    g[b].  So acc[b] < g[b] exactly when the fresh row's minimum is, and
-    then the two are the same float: each update is a full sweep's, bit for
-    bit.  A sweep pushes when the pushes of the previous sweep's changes
-    would read fewer triples than a full sweep; so the first sweep pulls,
-    and usually the second, as does the one sweep at p >= 2.
+    g[b], read or not, by the rule.  So acc[b] < g[b] exactly when the
+    fresh row's minimum is, and then the two are the same float: each
+    update is a full sweep's, bit for bit.  A sweep pushes when the pushes
+    of the previous sweep's changes would read fewer triples than a pull
+    sweep; so the first sweep pulls, and usually the second.
 
     Raises ValueError unless p and tol are positive and finite, and ConvergenceError
     (carrying the last iterate) if max_iters sweeps do not reach tol.
@@ -220,8 +273,9 @@ def estimate_sup(
     triples one sweep visits `triples`, the triples each sweep actually
     evaluated `triples_read` (slab pads excluded), the per-sweep wall times
     `sweep_ms`, the per-sweep largest decreases `decreases`, the last of
-    them `last_decrease`, and `converged`.  The triple geometry is
-    built once per call (see grid._triple_rows): O(N^2) memory.
+    them `last_decrease`, and `converged`.  The triple tables are built
+    once per call, at its first whole-row read (see grid._triple_rows):
+    O(N^2) memory then, O(N) when every row reads its symmetric triples.
     """
     if N < 2:
         raise ValueError(f"grid resolution must be >= 2, got {N}")
@@ -240,6 +294,11 @@ def estimate_sup(
     with_c = k * (k - 1) // 2  # with_c[c]: the triples (a, b, c) with that c; with_a[a], with that a
     with_a = with_c[::-1]
     acc = np.empty(N + 1)
+    cc = (2 / N) ** max(p - 2, 0)
+    h = (4 * k * (N - k)) / (N * N) * cc  # the member the rule measures against; q itself for p >= 2
+    r = (p + 12) * 2.0**-53 * cc + 2.0**-1070  # the most one update may land below h
+    ruled = cc / N**3 >= np.finfo(float).tiny  # h, the spreads and their products are normal floats
+    whole, symmetric = k * (N - k), np.minimum(k, N - k)  # row b's triples; its symmetric ones
 
     def push(**outer):
         for b, s in row.push(**outer):
@@ -253,14 +312,18 @@ def estimate_sup(
     while len(decreases) < max_iters:
         max_dec = 0.0
         start = perf_counter()
-        pushing = lowered is not None and int(with_c[lowered].sum() + with_a[lowered].sum()) < triples
+        margin = max(float((h - g).max()), 0.0) + (N + 2) * r
+        near = (g - h < cc / (N * N) - margin) & ruled  # the rows that read their symmetric triples alone
+        pull = int(np.where(near, symmetric, whole)[1:N].sum())
+        pushing = lowered is not None and int(with_c[lowered].sum() + with_a[lowered].sum()) < pull
         if pushing:
             acc.fill(np.inf)
             for c in lowered:
                 push(c=c)
         pushed, lowered = lowered, []
+        diagonal = near.tolist()
         for b in range(1, N):
-            m = acc[b] if pushing else row(b).min()
+            m = acc[b] if pushing else (row.diagonal(b) if diagonal[b] else row(b)).min()
             if m < g[b]:
                 max_dec = max(max_dec, g[b] - m)
                 g[b] = m
@@ -269,7 +332,7 @@ def estimate_sup(
                     push(a=b)
         sweep_ms.append((perf_counter() - start) * 1e3)
         decreases.append(float(max_dec))
-        triples_read.append(int(with_c[pushed].sum() + with_a[lowered].sum()) if pushing else triples)
+        triples_read.append(int(with_c[pushed].sum() + with_a[lowered].sum()) if pushing else pull)
         if max_dec < tol:
             break
     result = GridFunction(N, g, label=f"sup-estimate[p={p}]")

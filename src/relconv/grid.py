@@ -116,9 +116,11 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     its last row plus band - 1 columns, so weights runs on about half the
     table and its temporaries stay block-sized; the band, entries with
     N < i + j < N + band, is what row.block and row.push read past the
-    triangle (for N <= 256 one block fills the whole square).  _chord gives
-    the float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a) =
-    j/den; the exact scan passes the integers (N*j, N*i, -C*den**2).
+    triangle (for N <= 256 one block fills the whole square).  The tables
+    and row's two work buffers are made at the first row, block or push
+    call, so a caller that reads only row.diagonal allocates O(N).  _chord
+    gives the float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a)
+    = j/den; the exact scan passes the integers (N*j, N*i, -C*den**2).
 
     Returns row.  row(b), for 1 <= b <= N-1, is the (a, c) matrix
 
@@ -164,24 +166,35 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     copy, its windows and the two buffers block and push share are made at
     the first call of either, so callers that read rows only allocate none
     of them.
+
+    row.diagonal(b), for 1 <= b <= N-1, evaluates row b's symmetric
+    triples (b-i, b, b+i), i = j, for i = 1..min(b, N-b) ascending: the
+    anti-diagonal [b-i, i-1] of row(b), bit for bit, since it takes the same
+    operations in the same order from weights(i, i, 2i) on length-N//2
+    vectors, made at its first call, and the next call overwrites it.
     """
-    i = np.arange(N - 1, 0, -1)[:, None]
-    j = np.arange(1, N)[None, :]
-    w0, w1, w2 = (np.empty((N - 1, N - 1), dtype=v.dtype) for _ in range(3))
     band = math.isqrt(_BLOCK_TRIPLES)  # no block or slab holds more rows
-    step = max(1, 2**16 // N)
-    for r in range(0, N - 1, step):
-        end = min(r + step, N - 1)
-        cols = min(end + band - 1, N - 1)
-        den = i[r:end] + j[:, :cols]
-        weights(i[r:end], j[:, :cols], np.minimum(den, N, out=den), [w[r:end, :cols] for w in (w0, w1, w2)])
-    size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
-    buf = np.empty(size, dtype=v.dtype)
-    tmp = np.empty(size, dtype=v.dtype)
+    tables: list = []  # [w0, w1, w2, buf, tmp], made at the first row, block or push call
+
+    def fill() -> list:
+        i = np.arange(N - 1, 0, -1)[:, None]
+        j = np.arange(1, N)[None, :]
+        w0, w1, w2 = (np.empty((N - 1, N - 1), dtype=v.dtype) for _ in range(3))
+        step = max(1, 2**16 // N)
+        for r in range(0, N - 1, step):
+            end = min(r + step, N - 1)
+            cols = min(end + band - 1, N - 1)
+            den = i[r:end] + j[:, :cols]
+            weights(i[r:end], j[:, :cols], np.minimum(den, N, out=den), [w[r:end, :cols] for w in (w0, w1, w2)])
+        size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
+        tables.extend([w0, w1, w2, np.empty(size, dtype=v.dtype), np.empty(size, dtype=v.dtype)])
+        return tables
+
     views: list = [None] * N  # views[b]: row b's views, made at its first call
 
     def row(b: int) -> np.ndarray:
         if views[b] is None:
+            w0, w1, w2, buf, tmp = tables or fill()
             sl = np.s_[N - 1 - b : N - 1, : N - b]
             shape = (b, N - b)
             views[b] = (w0[sl], w1[sl], w2[sl], v[:b, None], v[None, b + 1 :],
@@ -209,6 +222,7 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         K = b1 - b0
         if K * (b1 - 1) * (N - b0) > _BLOCK_TRIPLES:
             raise ValueError(f"rows {b0}..{b1 - 1} at N={N} hold more than {_BLOCK_TRIPLES} block entries")
+        w0, w1, w2, *_ = tables or fill()
         _, windows, rhs_buf, part_buf = shared(v)
         sl = np.s_[N - b1 : N - 1, : N - b0]
         shape = (K, b1 - 1, N - b0)
@@ -224,6 +238,7 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         # with o = a, or o = N - c on v reversed, row i of a slab reads the
         # other index's values at padded[pad + o + i + 1 :]
         o = a if c is None else N - c
+        w0, w1, w2, *_ = tables or fill()
         _, windows, rhs_buf, part_buf = shared(v if c is None else v[::-1])
         x = v[a] if c is None else v[c]
         L = i1 = N - o
@@ -241,8 +256,25 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
             yield (a + i1 - 1, rhs) if c is None else (c - 1, rhs.T)
             i1 = i0
 
-    row.block = block  # neither refers to row, so no cycle keeps the tables past their last caller
+    diag: list = []  # [d0, d1, d2, rhs, part] over i = 1..N//2, made at the first diagonal call
+
+    def diagonal(b: int) -> np.ndarray:
+        if not diag:
+            k = np.arange(1, N // 2 + 1)
+            diag.extend(np.empty(N // 2, dtype=v.dtype) for _ in range(5))
+            weights(k, k, 2 * k, diag[:3])
+        n = min(b, N - b)
+        d0, d1, d2, rhs, part = [x[:n] for x in diag]
+        np.multiply(d0, v[b - n : b][::-1], out=rhs)
+        np.multiply(d1, v[b + 1 : b + 1 + n], out=part)
+        rhs += part
+        rhs += d2
+        return rhs
+
+    # none of them refers to row, so no cycle keeps the tables past their last caller
+    row.block = block
     row.push = push
+    row.diagonal = diagonal
     return row
 
 

@@ -628,7 +628,8 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv, catalog, message", [
     (["profile", "--group", "Z4", "--s", "(1)", "--out", "{tmp}/missing/p.json"], None, "No such file or directory"),
     (["estimate-sup", "--p", "1", "--n", "8", "--csv", "{tmp}/missing/s.csv"], None, "No such file or directory"),
-    (["check-class", "--fn", "builtin:tent:1/0,1", "--class", "F", "--n", "8"], None, "Fraction(1, 0)"),
+    (["check-class", "--fn", "builtin:tent:1/0,1", "--class", "F", "--n", "8"], None,
+     "tent x0 must be p/q with q > 0 or a decimal, got '1/0'"),
     (["verify-catalog", "--catalog", "{tmp}/cat.json", "--out", "{tmp}/c.csv"], {"entries": []},
      "catalog has no entries"),
     (["verify-catalog", "--catalog", "{tmp}/cat.json"], {"entries": [{"group": "Z4", "s": "(1)"}]},
@@ -660,6 +661,22 @@ def test_bad_input_or_path_exits_two_with_one_error_line(capsys, tmp_path, argv,
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval-f", "--x", "1/0"], "--x must be p/q with q > 0 or a decimal, got '1/0'"),
+    (["eval-f", "--x", "one"], "--x must be p/q with q > 0 or a decimal, got 'one'"),
+    (["eval-f", "--x", "1e400"], "--x must lie in [0, 1], got '1e400'"),
+    (["eval-f", "--x=-1/3"], "--x must lie in [0, 1], got '-1/3'"),
+    (["check-class", "--fn", "builtin:tent:1e400,1", "--class", "F", "--n", "8"],
+     "tent x0 must lie in [0, 1], got '1e400'"),
+    (["check-class", "--fn", "builtin:tent:1/2,1/0", "--class", "F", "--n", "8"],
+     "tent h0 must be p/q with q > 0 or a decimal, got '1/0'"),
+], ids=["x-zero-denominator", "x-no-number", "x-past-float-range", "x-negative", "tent-x0-past-float-range",
+        "tent-h0-zero-denominator"])
+def test_exact_arguments_are_quoted_as_typed(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -400,12 +400,13 @@ def pair_loop_scan(f: GridFunction) -> tuple[list[tuple], str]:
 
 
 def scaled_random_grids(N: int) -> list[GridFunction]:
-    """Seeded finite grid functions at magnitudes from subnormal to near the float maximum."""
+    """Seeded finite grid functions at magnitudes from subnormal to near the float maximum, and signed zeros."""
     rng = np.random.default_rng(N)
     grids = [GridFunction(N, scale * rng.uniform(-1, 1, N + 1))
              for scale in (1e-310, 1e-300, 1e-3, 1.0, 1e3, 1e300, 1.7e308) for _ in range(2)]
     bumped = majorant_grid(N).floats() + rng.uniform(0, 0.3, N + 1)
-    return grids + [GridFunction(N, bumped), GridFunction(2, HUGE_VALUES)]
+    zeros = rng.choice([0.0, -0.0], N + 1)
+    return grids + [GridFunction(N, bumped), GridFunction(2, HUGE_VALUES), GridFunction(N, zeros)]
 
 
 def pairwise_sum(terms: list) -> float:

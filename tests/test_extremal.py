@@ -19,7 +19,7 @@ from relconv.extremal import (
     sup_closed_form,
 )
 from relconv.convexity import check_almost_convex
-from relconv.grid import _triple_rows
+from relconv.grid import GridFunction, _triple_rows
 
 from conftest import exact_parabola_grid, reference_majorant
 
@@ -275,34 +275,53 @@ def full_row_sweeps(p: float, N: int, tol: float, start: np.ndarray | None = Non
     return iterates, decreases
 
 
+def assert_full_row_sweeps(p: float, N: int, tol: float) -> int:
+    """estimate_sup's iterate, sweep count and decreases match full_row_sweeps'
+    at max_iters 2, 3 and 1000; returns the oracle's sweep count."""
+    iterates, decreases = full_row_sweeps(p, N, tol)
+    for max_iters in (2, 3, 1000):
+        stats: dict = {}
+        try:
+            g = estimate_sup(p, N, tol=tol, max_iters=max_iters, stats=stats)
+        except ConvergenceError as exc:
+            g = exc.last
+        k = min(max_iters, len(iterates))
+        assert g.floats().tobytes() == iterates[k - 1].tobytes()
+        assert (stats["iterations"], stats["decreases"]) == (k, decreases[:k])
+    return len(iterates)
+
+
 class TestDirtySweeps:
     # p >= 2 starts at the fixed point and takes one sweep, so p = 1.75 and
     # 1.9 are the exponents past 1.5 whose sweeps exercise the push sweeps;
-    # past N = 256 the table fill stops short of the whole square
-    @pytest.mark.parametrize("p", [1, 1.5, 1.75, 1.9])
+    # past N = 256 the table fill stops short of the whole square; from
+    # p = 2 every row reads only its symmetric triples
+    @pytest.mark.parametrize("p", [1, 1.5, 1.75, 1.9, 2, 2.5, 3, 7])
     @pytest.mark.parametrize("N", [48, 97, 160, 255, 257, 300])
     def test_match_full_row_sweeps_bit_for_bit(self, N, p):
-        iterates, decreases = full_row_sweeps(p, N, 1e-9)
-        assert len(iterates) > 3
-        for max_iters in (2, 3, 1000):
-            stats: dict = {}
-            try:
-                g = estimate_sup(p, N, max_iters=max_iters, stats=stats)
-            except ConvergenceError as exc:
-                g = exc.last
-            k = min(max_iters, len(iterates))
-            assert g.floats().tobytes() == iterates[k - 1].tobytes()
-            assert (stats["iterations"], stats["decreases"]) == (k, decreases[:k])
+        sweeps = assert_full_row_sweeps(p, N, 1e-9)
+        assert sweeps > 3 if p < 2 else sweeps == 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("N", [16, 97])
+    def test_match_full_row_sweeps_at_a_tiny_tol(self, N, p):
+        # at tol = 1e-20 the sweeps go on while rounding moves the iterate,
+        # which can creep below the parabola by ulps for tens of sweeps
+        assert_full_row_sweeps(p, N, 1e-20)
 
     @pytest.mark.parametrize("p, N", [(1, 64), (1.5, 97), (1.9, 80)])
     def test_pushes_cover_every_changed_input(self, monkeypatch, p, N):
-        # A pull sweep reads every row whole.  In a push sweep, every value of
-        # g that changed since row b's visit in the previous sweep (g[b] itself
-        # is no input of row b) must reach row b through a push: a column push
-        # of c > b at the sweep start, or a row push of a < b, each made with
-        # the new value in g.  The pushes are exactly those of the changed
-        # values, so a push sweep reads no more than it needs.
+        # A pull sweep reads every row, whole or, for the rows the rule
+        # picks, its symmetric triples alone: below p = 2 the row N/2 at
+        # even N, where the start meets the parabola.  In a push sweep,
+        # every value of g that changed since row b's visit in the previous
+        # sweep (g[b] itself is no input of row b) must reach row b through
+        # a push: a column push of c > b at the sweep start, or a row push of
+        # a < b, each made with the new value in g.  The pushes are exactly
+        # those of the changed values, so a push sweep reads no more than it
+        # needs.
         calls = []
+        diagonal_rows = {(1, 64): [32], (1.5, 97): [], (1.9, 80): [40]}[p, N]
 
         def spy(N, weights, v):
             row = _triple_rows(N, weights, v)
@@ -312,11 +331,17 @@ class TestDirtySweeps:
                 calls.append(("row", b, v.copy(), rhs.shape))
                 return rhs
 
+            def diagonal_spy(b):
+                rhs = row.diagonal(b)
+                calls.append(("diagonal", b, v.copy(), rhs.shape))
+                return rhs
+
             def push_spy(**outer):
                 ((side, x),) = outer.items()
                 calls.append((side, x, v.copy(), None))
                 return row.push(**outer)
 
+            row_spy.diagonal = diagonal_spy
             row_spy.push = push_spy
             return row_spy
 
@@ -328,16 +353,20 @@ class TestDirtySweeps:
         # a sweep starts with row 1 (a pull) or with a column push after other calls (a push)
         sweeps: list[list] = []
         for call in calls:
-            if call[0] == "row" and call[1] == 1 or call[0] == "c" and (not sweeps or sweeps[-1][-1][0] != "c"):
+            pull_start = call[0] in ("row", "diagonal") and call[1] == 1
+            if pull_start or call[0] == "c" and (not sweeps or sweeps[-1][-1][0] != "c"):
                 sweeps.append([])
             sweeps[-1].append(call)
         assert len(sweeps) == stats["iterations"] == len(iterates)
         pulls = pushes = 0
         for k, sweep in enumerate(sweeps):
             before, after = G[k], G[k + 1]
-            if sweep[0][0] == "row":
+            if sweep[0][0] in ("row", "diagonal"):
                 pulls += 1
-                assert [(b, shape) for _, b, _, shape in sweep] == [(b, (b, N - b)) for b in range(1, N)]
+                assert [call[:2] for call in sweep] == [
+                    ("diagonal" if b in diagonal_rows else "row", b) for b in range(1, N)]
+                assert [shape for *_, shape in sweep] == [
+                    (min(b, N - b),) if b in diagonal_rows else (b, N - b) for b in range(1, N)]
                 for _, b, v, _ in sweep:
                     assert v.tobytes() == np.concatenate([after[:b], before[b:]]).tobytes()
                 continue
@@ -363,10 +392,88 @@ class TestDirtySweeps:
         estimate_sup(p, N, stats=stats)
         read = stats["triples_read"]
         assert len(read) == stats["iterations"]
-        assert read[0] == stats["triples"]
+        # at p = 2 every row reads its symmetric triples alone; below, the
+        # row N/2 of an even N does, where the start meets the parabola
+        if p == 2:
+            assert read[0] == sum(min(b, N - b) for b in range(1, N))
+        else:
+            assert read[0] == stats["triples"] - (N // 2) ** 2 + N // 2
         assert all(type(r) is int and 0 <= r <= stats["triples"] for r in read)
         if p == 1:
             assert sum(read) < stats["iterations"] * stats["triples"] / 2
+
+
+def symmetric_reads(monkeypatch, p: float, N: int, tol: float = 1e-9, start: np.ndarray | None = None) -> list[int]:
+    """Run estimate_sup and return the rows it read by their symmetric
+    triples alone, checking at each such read that the whole row(b) holds
+    those entries, bit for bit, and no other entry below g[b]."""
+    read: list[int] = []
+
+    def spy(N, weights, v):
+        row = _triple_rows(N, weights, v)
+        diagonal = row.diagonal
+
+        def checked(b):
+            d = diagonal(b)
+            whole = row(b).copy()
+            i = np.arange(1, min(b, N - b) + 1)
+            assert whole[b - i, i - 1].tobytes() == d.tobytes()
+            whole[b - i, i - 1] = np.inf
+            assert whole.min() >= v[b], (b, whole.min() - v[b])
+            read.append(b)
+            return d
+
+        row.diagonal = checked
+        return row
+
+    monkeypatch.setattr(extremal, "_triple_rows", spy)
+    if start is not None:
+        monkeypatch.setattr(extremal, "sup_closed_form", lambda p, N: GridFunction(N, start))
+    try:
+        estimate_sup(p, N, tol=tol)
+    except ConvergenceError:
+        pass
+    return read
+
+
+class TestSymmetricRows:
+    # Against h = cc*4x(1-x), cc = (2/N)**max(p-2, 0), every triple with
+    # b - a != c - b has slack at least cc/N**2, so a row whose g[b] lies
+    # that close to h reads only its symmetric triples (b-i, b, b+i)
+    @pytest.mark.parametrize("p, N, tol", [(1, 48, 1e-9), (1, 160, 1e-9), (2, 97, 1e-9), (2, 160, 1e-20),
+                                           (2.5, 64, 1e-20), (7, 97, 1e-9), (100, 48, 1e-9), (3, 97, 1e-20)])
+    def test_no_other_entry_lies_below_g(self, monkeypatch, p, N, tol):
+        read = symmetric_reads(monkeypatch, p, N, tol)
+        if p < 2:  # the row where the start meets the parabola, once per pull sweep
+            assert set(read) == {N // 2}
+        else:
+            assert read[: N - 1] == list(range(1, N))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_raised_start_reads_its_row_whole(self, monkeypatch, p):
+        # raising q at one index by 2cc/N**2, past the rule's threshold, sends that row to row(b)
+        N, b = 64, 20
+        start = closed_form(p, N)
+        start[b] += 2 * (2 / N) ** (p - 2) / N**2
+        read = symmetric_reads(monkeypatch, p, N, start=start)
+        assert read[: N - 2] == [x for x in range(1, N) if x != b]
+        iterates, decreases = full_row_sweeps(p, N, 1e-9, start=start)
+        stats: dict = {}
+        g = estimate_sup(p, N, stats=stats)  # the monkeypatched start
+        assert g.floats().tobytes() == iterates[-1].tobytes() and stats["decreases"] == decreases
+        assert stats["triples_read"][0] == sum(min(x, N - x) for x in range(1, N)) - b + b * (N - b)
+
+    @pytest.mark.parametrize("p", [527, 1023.5])
+    def test_underflowing_scale_reads_whole_rows(self, monkeypatch, p):
+        # cc = (1/4)**(p-2) is subnormal at p = 527 and 0 at p = 1023.5
+        N = 8
+        assert (2 / N) ** (p - 2) < np.finfo(float).tiny
+        assert symmetric_reads(monkeypatch, p, N) == []
+        stats: dict = {}
+        g = estimate_sup(p, N, stats=stats)
+        iterates, decreases = full_row_sweeps(p, N, 1e-9)
+        assert g.floats().tobytes() == iterates[-1].tobytes() and stats["decreases"] == decreases
+        assert stats["triples_read"] == [stats["triples"]] * stats["iterations"]
 
 
 class TestEstimateSup:

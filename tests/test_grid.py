@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from relconv import grid
-from relconv.extremal import majorant_values
+from relconv.extremal import estimate_sup, majorant_values
 from relconv.grid import _BLOCK_TRIPLES, GridFunction, _chord, _row_blocks, _triple_rows, read_csv, write_csv
 
 
@@ -205,6 +206,36 @@ def test_triple_pushes_are_padded_rows(monkeypatch, N):
                             x = np.concatenate(got.pop(("c", c, b)))  # pads, then a = 0..b-1
                             assert x[-b:].tobytes() == r[:, c - b - 1].tobytes() and (x[:-b] == np.inf).all()
                 assert not got  # no push reaches a middle index outside its triples
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 48, 255, 256, 257, 512])
+def test_triple_diagonals_are_the_symmetric_entries(N):
+    rng = np.random.default_rng(N)
+    spread = (np.arange(N + 1) / N) ** 1.5
+    values = [rng.standard_normal(N + 1), rng.choice([1.7e308, -1.7e308], N + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in values:
+            row = _triple_rows(N, _chord(lambda den, lam: spread[den]), v)
+            for b in range(1, N):
+                i = np.arange(1, min(b, N - b) + 1)
+                got = row.diagonal(b).copy()
+                assert got.tobytes() == row(b)[b - i, i - 1].tobytes()  # the triples (b-i, b, b+i)
+
+
+def test_a_sweep_of_diagonals_allocates_no_table():
+    # at p = 2 every row of the one sweep reads its symmetric triples alone,
+    # so the (N-1)**2 tables, 384 MiB at N = 4096, are never filled
+    N = 4096
+    stats: dict = {}
+    tracemalloc.start()
+    try:
+        estimate_sup(2, N, stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak / 2**20
+    assert stats["triples_read"] == [sum(min(b, N - b) for b in range(1, N))]
 
 
 def test_triple_rows_free_without_the_cycle_collector():
