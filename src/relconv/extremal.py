@@ -267,8 +267,9 @@ def estimate_sup(
     of the previous sweep's changes would read fewer triples than a pull
     sweep; so the first sweep pulls, and usually the second.
 
-    Raises ValueError unless p and tol are positive and finite, and ConvergenceError
-    (carrying the last iterate) if max_iters sweeps do not reach tol.
+    Raises ValueError unless p and tol are positive and finite, N >= 2 and
+    max_iters >= 1, and ConvergenceError (carrying the last iterate) if
+    max_iters sweeps do not reach tol.
     Mutates `stats`, when given, with the sweep count `iterations`, the
     triples one sweep visits `triples`, the triples each sweep actually
     evaluated `triples_read` (slab pads excluded), the per-sweep wall times

@@ -100,6 +100,23 @@ def _row_blocks(N: int) -> Iterator[tuple[int, int]]:
         b0 = b1
 
 
+def _rhs(w0, x0, w1, x1, w2, out: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """out = w0*x0 + w1*x1 + w2: w0*x0 into out, w1*x1 into part, then out +=
+    part, then out += w2, broadcasting each product to out's shape.
+
+    Every accessor of _triple_rows evaluates its triples here, so an entry
+    that two accessors share gets the same four IEEE operations on the same
+    operands in the same order, and so the same bits, whatever the views'
+    shapes and strides; for int64 and object weights the result is the
+    exact integer either way.
+    """
+    np.multiply(w0, x0, out=out)
+    np.multiply(w1, x1, out=part)
+    out += part
+    out += w2
+    return out
+
+
 def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     """Right-hand sides of the on-grid triples a < b < c, from tables built once.
 
@@ -122,56 +139,48 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     gives the float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a)
     = j/den; the exact scan passes the integers (N*j, N*i, -C*den**2).
 
-    Returns row.  row(b), for 1 <= b <= N-1, is the (a, c) matrix
+    Returns row.  Each accessor below evaluates rhs = w0*v[a] + w1*v[c] + w2
+    through _rhs, so a triple that two of them read gets the same bits, and
+    reads v when called: a caller may rewrite v between calls (the sup
+    writing v[b] sees the update in row b + 1; the exact scan writes
+    F[b] - F into v before row b).  A result of row or diagonal is valid
+    until that accessor's next call; block and push share their buffers, so
+    a block or a push step is valid until the next of either.
 
-        rhs = w0*v[a] + w1*v[c] + w2
-
-    evaluated in that order, through views of the tables, of v and of the
-    work buffers; the next call overwrites it.  Row b's views are made at
-    its first call and kept, so a caller that stops early pays only for the
-    rows it read.  Every call reads v when made, so a caller may rewrite v
-    between calls: the sup writing v[b] sees the update in row b + 1, and
-    the exact scan writes F[b] - F into v before row b.
+    row(b), for 1 <= b <= N-1, is the (a, c) matrix of middle index b.  Its
+    views are made at its first call and kept, so a caller that stops early
+    pays only for the rows it read.
 
     row.block(b0, b1), for float weights and 1 <= b0 < b1 <= N, evaluates
     the K = b1 - b0 rows b0..b1-1 at once when its K*(b1-1)*(N-b0) entries
-    are at most _BLOCK_TRIPLES (so K*K*(N-1) <= _BLOCK_TRIPLES), and raises
-    ValueError otherwise.  It returns the (K, b1-1, N-b0) array whose
-    entry [k, r, t] is the triple (b0+k-(b1-1)+r, b0+k, b0+k+1+t), valid
-    until the next block call: every row reads the one window
-    [N-b1 : N-1, : N-b0] of the tables, and v through two sliding windows
-    of a copy of v with +inf on both sides, refreshed at each call, with
-    the same operations in the same order as row.  So [k, b1-1-b0-k :,
-    : N-b0-k] is row(b0+k), bit for bit, and every other entry, a < 0 or
-    c > N, is +inf: its weights are lam = j/den and 1 - lam in
-    [1/N, 1 - 1/N] (den capped at N) and w2, all finite, so no product of
-    finite values overflows, and +inf plus a finite value or +inf is +inf,
-    never NaN.
+    are at most _BLOCK_TRIPLES, and raises ValueError otherwise.  Entry
+    [k, r, t] of the (K, b1-1, N-b0) result is the triple (b0+k-(b1-1)+r,
+    b0+k, b0+k+1+t): [k, b1-1-b0-k :, : N-b0-k] is row(b0+k), and every other
+    entry, a < 0 or c > N, is +inf.  Every row reads the one window
+    [N-b1 : N-1, : N-b0] of the tables, and v through sliding windows of a
+    copy of v with +inf on both sides; the float weights there are finite,
+    lam and 1 - lam in [1/N, 1 - 1/N] (den capped at N), so a pad's products
+    and sums are +inf, never NaN.
 
     row.push(a=a) and row.push(c=c), for float weights, evaluate every
-    triple with that one outer index: (a, b, c) for a < b < c <= N, or for
-    0 <= a < b < c, that is, row a of every row(b), b > a, or column c of
-    every row(b), b < c.  These offsets fill the triangle i + j <= L of the
-    tables, L = N - a or c, which push reads in slabs of consecutive i, from
-    i = L - 1 down: each slab is its K rows of i by the L - i0 columns of
-    its widest row i0, at most _BLOCK_TRIPLES entries when L - i0 <=
-    _BLOCK_TRIPLES, so K <= band and it reads no table entry past the band.
-    push yields (b, s) per slab, valid until the next step: s[k] holds
-    entries of middle index b - k, in the same operations and order as
-    row, and +inf for a < 0 or c > N as in block.  Given a, s[k] is row a
-    of row(b - k), c ascending, then +inf; given c, the slabs' s[k] of one
-    middle index, concatenated, are +inf and then column c of its row, a
-    ascending.  The outer value enters as a scalar and the other through
-    windows of the padded copy, which holds v reversed for c.  The padded
-    copy, its windows and the two buffers block and push share are made at
-    the first call of either, so callers that read rows only allocate none
-    of them.
+    triple with that one outer index: row a of every row(b), b > a, or
+    column c of every row(b), b < c.  These offsets fill the triangle
+    i + j <= L of the tables, L = N - a or c, which push reads in slabs of
+    consecutive i from i = L - 1 down, each its K rows by the L - i0 columns
+    of its widest row i0, at most _BLOCK_TRIPLES entries when L - i0 <=
+    _BLOCK_TRIPLES, so K <= band and no slab reads past the band.  push
+    yields (b, s) per slab: s[k] holds entries of middle index b - k, +inf
+    for a < 0 or c > N as in block.  Given a, s[k] is row a of row(b - k),
+    c ascending, then +inf; given c, the slabs' s[k] of one middle index,
+    concatenated, are +inf and then column c of its row, a ascending.  The
+    padded copy (v reversed for c), its windows and the two buffers that
+    block and push share are made at the first call of either.
 
     row.diagonal(b), for 1 <= b <= N-1, evaluates row b's symmetric
-    triples (b-i, b, b+i), i = j, for i = 1..min(b, N-b) ascending: the
-    anti-diagonal [b-i, i-1] of row(b), bit for bit, since it takes the same
-    operations in the same order from weights(i, i, 2i) on length-N//2
-    vectors, made at its first call, and the next call overwrites it.
+    triples (b-i, b, b+i) for i = 1..min(b, N-b) ascending: the
+    anti-diagonal [b-i, i-1] of row(b), from weights(i, i, 2i) written
+    into length-N//2 vectors at its first call, entry by entry as the
+    tables are.
     """
     band = math.isqrt(_BLOCK_TRIPLES)  # no block or slab holds more rows
     tables: list = []  # [w0, w1, w2, buf, tmp], made at the first row, block or push call
@@ -197,14 +206,9 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
             w0, w1, w2, buf, tmp = tables or fill()
             sl = np.s_[N - 1 - b : N - 1, : N - b]
             shape = (b, N - b)
-            views[b] = (w0[sl], w1[sl], w2[sl], v[:b, None], v[None, b + 1 :],
+            views[b] = (w0[sl], v[:b, None], w1[sl], v[None, b + 1 :], w2[sl],
                         buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape))
-        s0, s1, s2, va, vc, rhs, part = views[b]
-        np.multiply(s0, va, out=rhs)
-        np.multiply(s1, vc, out=part)
-        rhs += part
-        rhs += s2
-        return rhs
+        return _rhs(*views[b])
 
     pad = band - 1  # v[x] is padded[pad + x]
     state: list = []  # [padded, its windows, two buffers], made at the first block or push call
@@ -228,11 +232,8 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         shape = (K, b1 - 1, N - b0)
         rhs, part = (x[: K * (b1 - 1) * (N - b0)].reshape(shape) for x in (rhs_buf, part_buf))
         a0 = pad + b0 - (b1 - 1)
-        np.multiply(w0[sl], windows[a0 : a0 + K, : b1 - 1, None], out=rhs)
-        np.multiply(w1[sl], windows[pad + b0 + 1 : pad + b1 + 1, None, : N - b0], out=part)
-        rhs += part
-        rhs += w2[sl]
-        return rhs
+        return _rhs(w0[sl], windows[a0 : a0 + K, : b1 - 1, None],
+                    w1[sl], windows[pad + b0 + 1 : pad + b1 + 1, None, : N - b0], w2[sl], rhs, part)
 
     def push(a: int | None = None, c: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
         # with o = a, or o = N - c on v reversed, row i of a slab reads the
@@ -249,10 +250,8 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
             sl = np.s_[N - i1 : N - i0, : L - i0]
             rhs, part = (y[: K * (L - i0)].reshape(K, L - i0) for y in (rhs_buf, part_buf))
             other = windows[pad + o + i1 : pad + o + i0 : -1, : L - i0]
-            np.multiply(w0[sl], x if c is None else other, out=rhs)
-            np.multiply(w1[sl], other if c is None else x, out=part)
-            rhs += part
-            rhs += w2[sl]
+            xa, xc = (x, other) if c is None else (other, x)
+            _rhs(w0[sl], xa, w1[sl], xc, w2[sl], rhs, part)
             yield (a + i1 - 1, rhs) if c is None else (c - 1, rhs.T)
             i1 = i0
 
@@ -265,11 +264,7 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
             weights(k, k, 2 * k, diag[:3])
         n = min(b, N - b)
         d0, d1, d2, rhs, part = [x[:n] for x in diag]
-        np.multiply(d0, v[b - n : b][::-1], out=rhs)
-        np.multiply(d1, v[b + 1 : b + 1 + n], out=part)
-        rhs += part
-        rhs += d2
-        return rhs
+        return _rhs(d0, v[b - n : b][::-1], d1, v[b + 1 : b + 1 + n], d2, rhs, part)
 
     # none of them refers to row, so no cycle keeps the tables past their last caller
     row.block = block

@@ -550,15 +550,15 @@ class TestEstimateSup:
         assert stats["last_decrease"] >= 1e-9
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="defect exponent must be positive and finite, got 0"):
             estimate_sup(0, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid resolution must be >= 2, got 1"):
             estimate_sup(1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite, got 0"):
             estimate_sup(1, 8, tol=0)
         with pytest.raises(ValueError, match="tolerance must be positive and finite, got inf"):
             estimate_sup(1, 8, tol=math.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
             estimate_sup(1, 8, max_iters=0)
 
     @pytest.mark.parametrize("p", [math.inf, math.nan])

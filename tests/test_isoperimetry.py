@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -280,6 +281,11 @@ class TestKernel:
             # the first minimizer in lex order
             assert (got[k].n, got[k].min_boundary, got[k].witness) == (k, best, sets[counts.index(best)])
 
+    def test_arc_list_boundary_past_255(self):
+        # 300 parallel arcs each way: the first fixture whose minimum does not fit in 8 bits
+        d = GenericDigraph(2, ((0, 1),) * 300 + ((1, 0),) * 300)
+        assert [c.min_boundary for c in digraph_profile(d).entries] == [0, 300, 0]
+
     @pytest.mark.parametrize("gtext, stext", [
         ("Z6", "(1)"), ("Z7", "(1),(3)"), ("Z8", "(2)"), ("Z2xZ4", "(1,1),(0,2)"),
         ("Z3xZ3", "basis"), ("Z2xZ2xZ3", "(1,0,1),(0,1,2)"), ("Z4", "(0),(1)"),
@@ -317,6 +323,25 @@ class TestKernel:
             e = report.entries[n]
             assert e.min_boundary == mb == min(counts)
             assert e.witness == sets[counts.index(mb)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_subsets_of_larger_groups_meet_the_minima(self, data):
+        g, s, report = larger_profile(*data.draw(st.sampled_from(LARGER_CAYLEY)))
+        indices = data.draw(st.sets(st.integers(0, g.order - 1)))
+        cell = report.entries[len(indices)]
+        a = VertexSet.from_indices(indices, g.order)
+        assert edge_boundary(g, s, cell.witness) == cell.min_boundary <= edge_boundary(g, s, a)
+
+
+# Cayley graphs of order 12-20, past the brute-force cases above
+LARGER_CAYLEY = [("Z4xZ5", "(1,0),(0,1),(1,2)"), ("Z2xZ2xZ5", "basis"), ("Z16", "(1),(3)")]
+
+
+@functools.cache
+def larger_profile(gtext: str, stext: str):
+    g, s = group_and_set(gtext, stext)
+    return g, s, profile(g, s)
 
 
 class TestCounterexample:
