@@ -250,29 +250,32 @@ def estimate_sup(
     too; otherwise (at N = 8, p = 527 makes cc subnormal and
     p = 1023.5 makes it 0) every row is read whole.  At p >= 2 the start is
     h, every row qualifies and a sweep reads the sum over b of
-    min(b, N-b), about N**2/4 triples; at p < 2 only rows where g meets the
-    parabola do, b = N/2 at even N.
+    min(b, N-b), about N**2/4 triples.  At p < 2 the rows where g lies that
+    close to h qualify: far below p = 2 only b = N/2 at even N, where the
+    start meets the parabola, but within about 1e-4 of p = 2 most rows of
+    the later sweeps, and of every sweep within about 1e-6.
 
-    A push sweep keeps acc[b], the least new entry of row b so far (see
-    grid._triple_rows' row.push): at its start, each index c the previous
-    sweep lowered pushes column c of every row b < c, with the sweep-start
-    g; when it lowers g[b], it pushes row b of every row b' > b, with the
-    current g; and its update at b reads acc[b] alone.  An entry with an
-    old g[a] is at least the fresh one, which a's row push brings, since
-    lam and 1 - lam are >= 0 and rounding is monotone; an entry whose
-    inputs did not change since the previous sweep visited b is at least
-    g[b], read or not, by the rule.  So acc[b] < g[b] exactly when the
-    fresh row's minimum is, and then the two are the same float: each
-    update is a full sweep's, bit for bit.  A sweep pushes when the pushes
-    of the previous sweep's changes would read fewer triples than a pull
-    sweep; so the first sweep pulls, and usually the second.
+    A push sweep keeps acc[b], the least new entry of row b so far, which
+    grid._triple_rows' row.push lowers in place: at its start, each index
+    c the previous sweep lowered pushes column c of every row b < c into
+    acc, with the sweep-start g; when it lowers g[b], it pushes row b of
+    every row b' > b, with the current g; and its update at b reads acc[b]
+    alone.  An entry with an old g[a] is at least the fresh one, which a's
+    row push brings, since lam and 1 - lam are >= 0 and rounding is
+    monotone; an entry whose inputs did not change since the previous
+    sweep visited b is at least g[b], read or not, by the rule.  So acc[b]
+    < g[b] exactly when the fresh row's minimum is, and then the two are
+    the same float: each update is a full sweep's, bit for bit.  A sweep
+    pushes when the pushes of the previous sweep's changes would read
+    fewer triples than a pull sweep; so the first sweep pulls, and usually
+    the second.
 
     Raises ValueError unless p and tol are positive and finite, N >= 2 and
     max_iters >= 1, and ConvergenceError (carrying the last iterate) if
     max_iters sweeps do not reach tol.
     Mutates `stats`, when given, with the sweep count `iterations`, the
     triples one sweep visits `triples`, the triples each sweep actually
-    evaluated `triples_read` (slab pads excluded), the per-sweep wall times
+    evaluated `triples_read` (pads excluded), the per-sweep wall times
     `sweep_ms`, the per-sweep largest decreases `decreases`, the last of
     them `last_decrease`, and `converged`.  The triple tables are built
     once per call, at its first whole-row read (see grid._triple_rows):
@@ -296,15 +299,13 @@ def estimate_sup(
     with_a = with_c[::-1]
     acc = np.empty(N + 1)
     cc = (2 / N) ** max(p - 2, 0)
-    h = (4 * k * (N - k)) / (N * N) * cc  # the member the rule measures against; q itself for p >= 2
+    # the member the rule measures against: q itself for p >= 2, and the same
+    # floats as sup_closed_form(max(p, 2), N), but computed apart from the start,
+    # so that a raised start (as the tests make one) does not raise h with it
+    h = (4 * k * (N - k)) / (N * N) * cc
     r = (p + 12) * 2.0**-53 * cc + 2.0**-1070  # the most one update may land below h
     ruled = cc / N**3 >= np.finfo(float).tiny  # h, the spreads and their products are normal floats
     whole, symmetric = k * (N - k), np.minimum(k, N - k)  # row b's triples; its symmetric ones
-
-    def push(**outer):
-        for b, s in row.push(**outer):
-            least = acc[b : b - len(s) : -1]
-            np.minimum(least, s.min(axis=1), out=least)
 
     decreases = []
     sweep_ms = []
@@ -320,7 +321,7 @@ def estimate_sup(
         if pushing:
             acc.fill(np.inf)
             for c in lowered:
-                push(c=c)
+                row.push(acc, c=c)
         pushed, lowered = lowered, []
         diagonal = near.tolist()
         for b in range(1, N):
@@ -330,7 +331,7 @@ def estimate_sup(
                 g[b] = m
                 lowered.append(b)
                 if pushing:
-                    push(a=b)
+                    row.push(acc, a=b)
         sweep_ms.append((perf_counter() - start) * 1e3)
         decreases.append(float(max_dec))
         triples_read.append(int(with_c[pushed].sum() + with_a[lowered].sum()) if pushing else pull)

@@ -128,24 +128,22 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     the slice [N-1-b : N-1, : N-b].  Every such slice lies in the lower-left
     triangle i + j <= N.  weights(i, j, den, out) writes the weights into
     the three views of out: i a column, j a row, den their sum capped at N,
-    so it may index arrays of length N+1.  The tables are filled in blocks
-    of about 2**16 entries, each block of rows up to the triangle's edge at
-    its last row plus band - 1 columns, so weights runs on about half the
-    table and its temporaries stay block-sized; the band, entries with
-    N < i + j < N + band, is what row.block and row.push read past the
-    triangle (for N <= 256 one block fills the whole square).  The tables
-    and row's two work buffers are made at the first row, block or push
-    call, so a caller that reads only row.diagonal allocates O(N).  _chord
-    gives the float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a)
-    = j/den; the exact scan passes the integers (N*j, N*i, -C*den**2).
+    so it may index arrays of length N+1.  The tables are filled whole, in
+    blocks of rows of about 2**16 entries, so the temporaries of weights
+    stay block-sized; the entries past the triangle hold no triple and are
+    what row.block and row.push read for their +inf pads.  The tables and
+    row's two work buffers are made at the first row, block or push call, so
+    a caller that reads only row.diagonal allocates O(N).  _chord gives the
+    float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a) = j/den;
+    the exact scan passes the integers (N*j, N*i, -C*den**2).
 
     Returns row.  Each accessor below evaluates rhs = w0*v[a] + w1*v[c] + w2
     through _rhs, so a triple that two of them read gets the same bits, and
     reads v when called: a caller may rewrite v between calls (the sup
     writing v[b] sees the update in row b + 1; the exact scan writes
     F[b] - F into v before row b).  A result of row or diagonal is valid
-    until that accessor's next call; block and push share their buffers, so
-    a block or a push step is valid until the next of either.
+    until that accessor's next call, and one of block until the next block
+    or push call, which share its buffers.
 
     row(b), for 1 <= b <= N-1, is the (a, c) matrix of middle index b.  Its
     views are made at its first call and kept, so a caller that stops early
@@ -162,19 +160,17 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     lam and 1 - lam in [1/N, 1 - 1/N] (den capped at N), so a pad's products
     and sums are +inf, never NaN.
 
-    row.push(a=a) and row.push(c=c), for float weights, evaluate every
-    triple with that one outer index: row a of every row(b), b > a, or
-    column c of every row(b), b < c.  These offsets fill the triangle
-    i + j <= L of the tables, L = N - a or c, which push reads in slabs of
-    consecutive i from i = L - 1 down, each its K rows by the L - i0 columns
-    of its widest row i0, at most _BLOCK_TRIPLES entries when L - i0 <=
-    _BLOCK_TRIPLES, so K <= band and no slab reads past the band.  push
-    yields (b, s) per slab: s[k] holds entries of middle index b - k, +inf
-    for a < 0 or c > N as in block.  Given a, s[k] is row a of row(b - k),
-    c ascending, then +inf; given c, the slabs' s[k] of one middle index,
-    concatenated, are +inf and then column c of its row, a ascending.  The
-    padded copy (v reversed for c), its windows and the two buffers that
-    block and push share are made at the first call of either.
+    row.push(least, a=a) and row.push(least, c=c), for float weights, lower
+    least[b] to the least rhs of the triples with that one outer index and
+    middle index b, row a of row(b) for each b > a or column c of row(b) for
+    each b < c, and leave the other entries of least as they are.  push
+    reads these offsets, the triangle i + j <= L of the tables with
+    L = N - a or c, in slabs of consecutive i of at most _BLOCK_TRIPLES
+    entries (one row when a row is wider), padded as block is, and folds
+    each slab's least entry per middle index into least with np.minimum.  A
+    minimum is exact, so least[b] ends as the same float whatever the
+    slabs.  The padded copy (v reversed for c), its windows and the two
+    buffers that block and push share are made at the first call of either.
 
     row.diagonal(b), for 1 <= b <= N-1, evaluates row b's symmetric
     triples (b-i, b, b+i) for i = 1..min(b, N-b) ascending: the
@@ -182,7 +178,6 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     into length-N//2 vectors at its first call, entry by entry as the
     tables are.
     """
-    band = math.isqrt(_BLOCK_TRIPLES)  # no block or slab holds more rows
     tables: list = []  # [w0, w1, w2, buf, tmp], made at the first row, block or push call
 
     def fill() -> list:
@@ -191,10 +186,8 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         w0, w1, w2 = (np.empty((N - 1, N - 1), dtype=v.dtype) for _ in range(3))
         step = max(1, 2**16 // N)
         for r in range(0, N - 1, step):
-            end = min(r + step, N - 1)
-            cols = min(end + band - 1, N - 1)
-            den = i[r:end] + j[:, :cols]
-            weights(i[r:end], j[:, :cols], np.minimum(den, N, out=den), [w[r:end, :cols] for w in (w0, w1, w2)])
+            den = i[r : r + step] + j
+            weights(i[r : r + step], j, np.minimum(den, N, out=den), [w[r : r + step] for w in (w0, w1, w2)])
         size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
         tables.extend([w0, w1, w2, np.empty(size, dtype=v.dtype), np.empty(size, dtype=v.dtype)])
         return tables
@@ -210,7 +203,7 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
                         buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape))
         return _rhs(*views[b])
 
-    pad = band - 1  # v[x] is padded[pad + x]
+    pad = math.isqrt(_BLOCK_TRIPLES) - 1  # v[x] is padded[pad + x]; a block of K rows reads from x = 1 - K
     state: list = []  # [padded, its windows, two buffers], made at the first block or push call
 
     def shared(values: np.ndarray) -> list:
@@ -235,9 +228,10 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         return _rhs(w0[sl], windows[a0 : a0 + K, : b1 - 1, None],
                     w1[sl], windows[pad + b0 + 1 : pad + b1 + 1, None, : N - b0], w2[sl], rhs, part)
 
-    def push(a: int | None = None, c: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    def push(least: np.ndarray, a: int | None = None, c: int | None = None) -> None:
         # with o = a, or o = N - c on v reversed, row i of a slab reads the
-        # other index's values at padded[pad + o + i + 1 :]
+        # other index's values at padded[pad + o + i + 1 :]; s[k] holds
+        # middle index b - k, +inf past the grid
         o = a if c is None else N - c
         w0, w1, w2, *_ = tables or fill()
         _, windows, rhs_buf, part_buf = shared(v if c is None else v[::-1])
@@ -252,7 +246,9 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
             other = windows[pad + o + i1 : pad + o + i0 : -1, : L - i0]
             xa, xc = (x, other) if c is None else (other, x)
             _rhs(w0[sl], xa, w1[sl], xc, w2[sl], rhs, part)
-            yield (a + i1 - 1, rhs) if c is None else (c - 1, rhs.T)
+            b, s = (a + i1 - 1, rhs) if c is None else (c - 1, rhs.T)
+            fold = least[b : b - len(s) : -1]
+            np.minimum(fold, s.min(axis=1), out=fold)
             i1 = i0
 
     diag: list = []  # [d0, d1, d2, rhs, part] over i = 1..N//2, made at the first diagonal call

@@ -62,6 +62,9 @@ class TestAbelianGroup:
         assert index[AbelianGroup.parse("2x3")] == "g" and index[AbelianGroup.parse("Z6")] == "z6"
         assert len({g, AbelianGroup([2, 3]), AbelianGroup([3, 2])}) == 2
 
+    def test_repr(self):
+        assert repr(AbelianGroup([2, 3])) == "AbelianGroup(Z2xZ3)"
+
 
 class TablesOracle:
     """Per-element coordinate list by repeated divmod, and its inverse dict: an oracle for place values."""
@@ -146,6 +149,7 @@ class TestConnectionSet:
         s = ConnectionSet.from_text(g, "(1,0),(0,1)")
         assert len(s) == 2
         assert s.describe() == "(1,0),(0,1)"
+        assert repr(s) == "ConnectionSet[(1,0),(0,1)]"
 
     def test_from_text_basis_and_bare(self):
         g = AbelianGroup([2, 2, 2])

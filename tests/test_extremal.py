@@ -294,7 +294,7 @@ def assert_full_row_sweeps(p: float, N: int, tol: float) -> int:
 class TestDirtySweeps:
     # p >= 2 starts at the fixed point and takes one sweep, so p = 1.75 and
     # 1.9 are the exponents past 1.5 whose sweeps exercise the push sweeps;
-    # past N = 256 the table fill stops short of the whole square; from
+    # past N = 256 the tables are filled in more than one block of rows; from
     # p = 2 every row reads only its symmetric triples
     @pytest.mark.parametrize("p", [1, 1.5, 1.75, 1.9, 2, 2.5, 3, 7])
     @pytest.mark.parametrize("N", [48, 97, 160, 255, 257, 300])
@@ -336,10 +336,10 @@ class TestDirtySweeps:
                 calls.append(("diagonal", b, v.copy(), rhs.shape))
                 return rhs
 
-            def push_spy(**outer):
+            def push_spy(least, **outer):
                 ((side, x),) = outer.items()
                 calls.append((side, x, v.copy(), None))
-                return row.push(**outer)
+                row.push(least, **outer)
 
             row_spy.diagonal = diagonal_spy
             row_spy.push = push_spy
@@ -448,6 +448,17 @@ class TestSymmetricRows:
             assert set(read) == {N // 2}
         else:
             assert read[: N - 1] == list(range(1, N))
+
+    def test_just_below_two_most_rows_read_their_symmetric_triples(self):
+        # within about 1e-4 of p = 2 the start lies within the threshold of h
+        # at most rows, not only at N/2, so the 12 sweeps read about a fifth
+        # of one full sweep; read whole, they would read 12 sweeps' worth
+        p, N = 1.999999, 97
+        iterates, decreases = full_row_sweeps(p, N, 1e-9)
+        stats: dict = {}
+        g = estimate_sup(p, N, stats=stats)
+        assert g.floats().tobytes() == iterates[-1].tobytes() and stats["decreases"] == decreases
+        assert sum(stats["triples_read"]) < stats["triples"]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_a_raised_start_reads_its_row_whole(self, monkeypatch, p):

@@ -136,8 +136,9 @@ class NanEmpty:
 
 @pytest.mark.parametrize("N", [2, 3, 5, 48, 97, 263, 445])
 def test_triple_blocks_are_padded_rows(monkeypatch, N):
-    # past N = 256 the fill leaves part of the square unfilled, so 263 and
-    # 445 fail unless the fill covers the band that blocks read past the triangle
+    # past N = 256 the tables are filled in more than one block of rows, so 263
+    # and 445 fail unless every block fills the entries past the triangle that
+    # blocks read for their pads
     monkeypatch.setattr(grid, "np", NanEmpty())
     rng = np.random.default_rng(N)
     spread = (np.arange(N + 1) / N) ** 1.5
@@ -174,8 +175,9 @@ def test_triple_blocks_are_padded_rows(monkeypatch, N):
 
 @pytest.mark.parametrize("N", [2, 3, 5, 48, 255, 256, 257, 263, 445, 512])
 def test_triple_pushes_are_padded_rows(monkeypatch, N):
-    # past N = 256 the fill leaves part of the square unfilled, so the larger
-    # sizes fail unless the fill covers the band that slabs read past the triangle
+    # past N = 256 the tables are filled in more than one block of rows, so the
+    # larger sizes fail unless every block fills the entries past the triangle
+    # that push reads for its pads: a NaN there reaches least through the fold
     monkeypatch.setattr(grid, "np", NanEmpty())
     rng = np.random.default_rng(N)
     spread = (np.arange(N + 1) / N) ** 1.5
@@ -189,23 +191,25 @@ def test_triple_pushes_are_padded_rows(monkeypatch, N):
         for defect in defects:
             for v in values:
                 row = _triple_rows(N, _chord(defect), v)
-                got: dict = {}  # (outer side, outer index, middle index b) -> the entries pushed to b
+                # per outer index, the caller's minima and what push must leave in them:
+                # +inf at half the indices, values of v, which lie above some row minima
+                # and below others, at the rest
+                leasts = {}
                 for side, outer in [("a", a) for a in outer_a] + [("c", c) for c in outer_c]:
-                    for b, s in row.push(**{side: outer}):
-                        assert s.shape[0] <= b and not np.isnan(s).any()
-                        for k in range(len(s)):
-                            got.setdefault((side, outer, b - k), []).append(s[k].copy())
+                    least = np.where(rng.random(N + 1) < 0.5, np.inf, rng.permutation(v))
+                    leasts[side, outer] = least, least.copy()
                 for b in range(1, N):
                     r = row(b)
-                    for a in outer_a:
-                        if a < b:
-                            x = np.concatenate(got.pop(("a", a, b)))  # c = b+1.., then pads
-                            assert x[: N - b].tobytes() == r[a].tobytes() and (x[N - b :] == np.inf).all()
-                    for c in outer_c:
-                        if c > b:
-                            x = np.concatenate(got.pop(("c", c, b)))  # pads, then a = 0..b-1
-                            assert x[-b:].tobytes() == r[:, c - b - 1].tobytes() and (x[:-b] == np.inf).all()
-                assert not got  # no push reaches a middle index outside its triples
+                    for (side, outer), (_, want) in leasts.items():
+                        if side == "a" and outer < b:
+                            want[b] = np.minimum(want[b], r[outer].min())
+                        elif side == "c" and outer > b:
+                            want[b] = np.minimum(want[b], r[:, outer - b - 1].min())
+                for (side, outer), (least, want) in leasts.items():
+                    row.push(least, **{side: outer})
+                    # every middle index of the outer index's triples folds in its least
+                    # entry; every other entry, 0 and N among them, stays as it was
+                    assert least.tobytes() == want.tobytes(), (side, outer)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 48, 255, 256, 257, 512])

@@ -351,6 +351,14 @@ class TestCounterexample:
         assert bound == pytest.approx(3 * math.sqrt(2.0 / 3.0), abs=1e-12)
         assert boundary < bound
 
+    def test_a_bound_that_holds_raises(self, monkeypatch):
+        # with the complete digraph in place of the cycle, one vertex has
+        # boundary 5, above the bound 3*sqrt(2/3) ~ 2.449, so there is no failure to return
+        complete = GenericDigraph(6, tuple((u, v) for u in range(6) for v in range(6) if u != v))
+        monkeypatch.setattr(GenericDigraph, "bidirectional_cycle", classmethod(lambda cls, n: complete))
+        with pytest.raises(RuntimeError, match=r"^expected failure of the bound, got 5 >= 2\.4494897"):
+            six_cycle_counterexample()
+
     def test_every_interior_cell_violates(self):
         report = digraph_profile(GenericDigraph.bidirectional_cycle(6), 2)
         assert report.bound_violations() == [1, 2, 3, 4, 5]
