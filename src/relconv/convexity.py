@@ -316,9 +316,11 @@ def _require_concave(f: GridFunction) -> None:
     else:
         v = f.floats()
         # differences, not v[i-1] - 2 v[i] + v[i+1]: 2 v[i] overflows on huge
-        # finite values, while an overflowed difference keeps its sign
+        # finite values, while an overflowed difference keeps its sign; the
+        # tolerance scales with max|v|, whose rounding alone moves a difference
+        tol = 1e-12 * max(1.0, float(np.abs(v).max()))
         with np.errstate(over="ignore"):
-            bad = bool(np.any((v[:-2] - v[1:-1]) - (v[1:-1] - v[2:]) > 1e-12))
+            bad = bool(np.any((v[:-2] - v[1:-1]) - (v[1:-1] - v[2:]) > tol))
     if bad:
         raise ValueError(f"{f!r} is not concave on the grid")
 

@@ -100,9 +100,10 @@ def _row_blocks(N: int) -> Iterator[tuple[int, int]]:
         b0 = b1
 
 
-def _rhs(w0, x0, w1, x1, w2, out: np.ndarray, part: np.ndarray) -> np.ndarray:
+def _rhs(w0, x0, w1, x1, w2, out=None, part=None) -> np.ndarray:
     """out = w0*x0 + w1*x1 + w2: w0*x0 into out, w1*x1 into part, then out +=
-    part, then out += w2, broadcasting each product to out's shape.
+    part, then out += w2, broadcasting each product to out's shape; numpy
+    allocates out and part when they are not given.
 
     Every accessor of _triple_rows evaluates its triples here, so an entry
     that two accessors share gets the same four IEEE operations on the same
@@ -110,9 +111,8 @@ def _rhs(w0, x0, w1, x1, w2, out: np.ndarray, part: np.ndarray) -> np.ndarray:
     shapes and strides; for int64 and object weights the result is the
     exact integer either way.
     """
-    np.multiply(w0, x0, out=out)
-    np.multiply(w1, x1, out=part)
-    out += part
+    out = np.multiply(w0, x0, out=out)
+    out += np.multiply(w1, x1, out=part)
     out += w2
     return out
 
@@ -131,8 +131,9 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     so it may index arrays of length N+1.  The tables are filled whole, in
     blocks of rows of about 2**16 entries, so the temporaries of weights
     stay block-sized; the entries past the triangle hold no triple and are
-    what row.block and row.push read for their +inf pads.  The tables and
-    row's two work buffers are made at the first row, block or push call, so
+    what row.block and row.push read for their +inf pads.  The tables,
+    row's two work buffers and a copy of v with +inf on both sides, with
+    its sliding windows, are made at the first row, block or push call, so
     a caller that reads only row.diagonal allocates O(N).  _chord gives the
     float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a) = j/den;
     the exact scan passes the integers (N*j, N*i, -C*den**2).
@@ -141,9 +142,8 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     through _rhs, so a triple that two of them read gets the same bits, and
     reads v when called: a caller may rewrite v between calls (the sup
     writing v[b] sees the update in row b + 1; the exact scan writes
-    F[b] - F into v before row b).  A result of row or diagonal is valid
-    until that accessor's next call, and one of block until the next block
-    or push call, which share its buffers.
+    F[b] - F into v before row b).  A result of row is valid until row's
+    next call; every other accessor returns a new array.
 
     row(b), for 1 <= b <= N-1, is the (a, c) matrix of middle index b.  Its
     views are made at its first call and kept, so a caller that stops early
@@ -155,10 +155,10 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     [k, r, t] of the (K, b1-1, N-b0) result is the triple (b0+k-(b1-1)+r,
     b0+k, b0+k+1+t): [k, b1-1-b0-k :, : N-b0-k] is row(b0+k), and every other
     entry, a < 0 or c > N, is +inf.  Every row reads the one window
-    [N-b1 : N-1, : N-b0] of the tables, and v through sliding windows of a
-    copy of v with +inf on both sides; the float weights there are finite,
-    lam and 1 - lam in [1/N, 1 - 1/N] (den capped at N), so a pad's products
-    and sums are +inf, never NaN.
+    [N-b1 : N-1, : N-b0] of the tables, and v through the windows of the
+    padded copy; the float weights there are finite, lam and 1 - lam in
+    [1/N, 1 - 1/N] (den capped at N), so a pad's products and sums are
+    +inf, never NaN.
 
     row.push(least, a=a) and row.push(least, c=c), for float weights, lower
     least[b] to the least rhs of the triples with that one outer index and
@@ -166,11 +166,10 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     each b < c, and leave the other entries of least as they are.  push
     reads these offsets, the triangle i + j <= L of the tables with
     L = N - a or c, in slabs of consecutive i of at most _BLOCK_TRIPLES
-    entries (one row when a row is wider), padded as block is, and folds
-    each slab's least entry per middle index into least with np.minimum.  A
-    minimum is exact, so least[b] ends as the same float whatever the
-    slabs.  The padded copy (v reversed for c), its windows and the two
-    buffers that block and push share are made at the first call of either.
+    entries (one row when a row is wider), padded as block is (the padded
+    copy holds v reversed for c), and folds each slab's least entry per
+    middle index into least with np.minimum.  A minimum is exact, so
+    least[b] ends as the same float whatever the slabs.
 
     row.diagonal(b), for 1 <= b <= N-1, evaluates row b's symmetric
     triples (b-i, b, b+i) for i = 1..min(b, N-b) ascending: the
@@ -178,7 +177,8 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     into length-N//2 vectors at its first call, entry by entry as the
     tables are.
     """
-    tables: list = []  # [w0, w1, w2, buf, tmp], made at the first row, block or push call
+    pad = math.isqrt(_BLOCK_TRIPLES) - 1  # v[x] is padded[pad + x]; a block of K rows reads from x = 1 - K
+    tables: list = []  # [w0, w1, w2, buf, tmp, padded, windows], made at the first row, block or push call
 
     def fill() -> list:
         i = np.arange(N - 1, 0, -1)[:, None]
@@ -189,52 +189,46 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
             den = i[r : r + step] + j
             weights(i[r : r + step], j, np.minimum(den, N, out=den), [w[r : r + step] for w in (w0, w1, w2)])
         size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
-        tables.extend([w0, w1, w2, np.empty(size, dtype=v.dtype), np.empty(size, dtype=v.dtype)])
+        padded = np.full(pad + 2 * N - 1, np.inf)
+        tables.extend([w0, w1, w2, np.empty(size, dtype=v.dtype), np.empty(size, dtype=v.dtype),
+                       padded, np.lib.stride_tricks.sliding_window_view(padded, N - 1)])
         return tables
 
+    # row keeps its views and its two buffers, where the other accessors take
+    # new arrays, because both pay on a 2-core Xeon: without the views, a
+    # second pass of rows at N = 200 took 5.9 ms against 5.0 (min of 15), and
+    # the sup bench's raw job_p50_ms rose from 12.13 to 13.12 ms in 4 of 4
+    # alternating pairs; with new arrays, the F0 scan of F at N = 384 and 512,
+    # whose rows are mostly read alone, took 8-13% longer (min of 11).
     views: list = [None] * N  # views[b]: row b's views, made at its first call
 
     def row(b: int) -> np.ndarray:
         if views[b] is None:
-            w0, w1, w2, buf, tmp = tables or fill()
+            w0, w1, w2, buf, tmp, *_ = tables or fill()
             sl = np.s_[N - 1 - b : N - 1, : N - b]
             shape = (b, N - b)
             views[b] = (w0[sl], v[:b, None], w1[sl], v[None, b + 1 :], w2[sl],
                         buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape))
         return _rhs(*views[b])
 
-    pad = math.isqrt(_BLOCK_TRIPLES) - 1  # v[x] is padded[pad + x]; a block of K rows reads from x = 1 - K
-    state: list = []  # [padded, its windows, two buffers], made at the first block or push call
-
-    def shared(values: np.ndarray) -> list:
-        if not state:
-            padded = np.full(pad + 2 * N - 1, np.inf)
-            size = max(_BLOCK_TRIPLES, N - 1)  # a slab is one row when a row is wider than a block
-            state.extend([padded, np.lib.stride_tricks.sliding_window_view(padded, N - 1),
-                          np.empty(size), np.empty(size)])
-        state[0][pad : pad + N + 1] = values
-        return state
-
     def block(b0: int, b1: int) -> np.ndarray:
         K = b1 - b0
         if K * (b1 - 1) * (N - b0) > _BLOCK_TRIPLES:
             raise ValueError(f"rows {b0}..{b1 - 1} at N={N} hold more than {_BLOCK_TRIPLES} block entries")
-        w0, w1, w2, *_ = tables or fill()
-        _, windows, rhs_buf, part_buf = shared(v)
+        w0, w1, w2, _, _, padded, windows = tables or fill()
+        padded[pad : pad + N + 1] = v
         sl = np.s_[N - b1 : N - 1, : N - b0]
-        shape = (K, b1 - 1, N - b0)
-        rhs, part = (x[: K * (b1 - 1) * (N - b0)].reshape(shape) for x in (rhs_buf, part_buf))
         a0 = pad + b0 - (b1 - 1)
         return _rhs(w0[sl], windows[a0 : a0 + K, : b1 - 1, None],
-                    w1[sl], windows[pad + b0 + 1 : pad + b1 + 1, None, : N - b0], w2[sl], rhs, part)
+                    w1[sl], windows[pad + b0 + 1 : pad + b1 + 1, None, : N - b0], w2[sl])
 
     def push(least: np.ndarray, a: int | None = None, c: int | None = None) -> None:
         # with o = a, or o = N - c on v reversed, row i of a slab reads the
         # other index's values at padded[pad + o + i + 1 :]; s[k] holds
         # middle index b - k, +inf past the grid
         o = a if c is None else N - c
-        w0, w1, w2, *_ = tables or fill()
-        _, windows, rhs_buf, part_buf = shared(v if c is None else v[::-1])
+        w0, w1, w2, _, _, padded, windows = tables or fill()
+        padded[pad : pad + N + 1] = v if c is None else v[::-1]
         x = v[a] if c is None else v[c]
         L = i1 = N - o
         while i1 > 1:
@@ -242,25 +236,24 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
             K = min(i1 - 1, max(1, (math.isqrt(d * d + 4 * _BLOCK_TRIPLES) - d) // 2))
             i0 = i1 - K
             sl = np.s_[N - i1 : N - i0, : L - i0]
-            rhs, part = (y[: K * (L - i0)].reshape(K, L - i0) for y in (rhs_buf, part_buf))
             other = windows[pad + o + i1 : pad + o + i0 : -1, : L - i0]
             xa, xc = (x, other) if c is None else (other, x)
-            _rhs(w0[sl], xa, w1[sl], xc, w2[sl], rhs, part)
+            rhs = _rhs(w0[sl], xa, w1[sl], xc, w2[sl])
             b, s = (a + i1 - 1, rhs) if c is None else (c - 1, rhs.T)
             fold = least[b : b - len(s) : -1]
             np.minimum(fold, s.min(axis=1), out=fold)
             i1 = i0
 
-    diag: list = []  # [d0, d1, d2, rhs, part] over i = 1..N//2, made at the first diagonal call
+    diag: list = []  # [d0, d1, d2] over i = 1..N//2, made at the first diagonal call
 
     def diagonal(b: int) -> np.ndarray:
         if not diag:
             k = np.arange(1, N // 2 + 1)
-            diag.extend(np.empty(N // 2, dtype=v.dtype) for _ in range(5))
-            weights(k, k, 2 * k, diag[:3])
+            diag.extend(np.empty(N // 2, dtype=v.dtype) for _ in range(3))
+            weights(k, k, 2 * k, diag)
         n = min(b, N - b)
-        d0, d1, d2, rhs, part = [x[:n] for x in diag]
-        return _rhs(d0, v[b - n : b][::-1], d1, v[b + 1 : b + 1 + n], d2, rhs, part)
+        d0, d1, d2 = [x[:n] for x in diag]
+        return _rhs(d0, v[b - n : b][::-1], d1, v[b + 1 : b + 1 + n], d2)
 
     # none of them refers to row, so no cycle keeps the tables past their last caller
     row.block = block

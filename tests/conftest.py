@@ -98,6 +98,59 @@ def reference_branch(d: Fraction) -> int:
     return k
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for integers n >= 0 and k >= 1, by Newton's method from above."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def majorant_enclosure(N: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(L, U, P): int64 arrays with L[i] <= E(i/N) * 2**P <= U[i] and U - L <= 1.
+
+    P = 61 - 2 * N.bit_length().  At d = min(i, N - i) > 0 and
+    k = reference_branch(d/N), E**k = k**k * d**(k-1) / N**(k-1) is rational,
+    so L is the integer k-th root of the floor of (E * 2**P)**k, and U = L
+    exactly when neither the division nor the root rounds.
+    """
+    P = 61 - 2 * N.bit_length()
+    L, U = np.zeros(N + 1, dtype=np.int64), np.zeros(N + 1, dtype=np.int64)
+    for i in range(1, N):
+        d = min(i, N - i)
+        k = reference_branch(Fraction(d, N))
+        q, r = divmod(k**k * d ** (k - 1) * 2 ** (P * k), N ** (k - 1))
+        L[i] = _iroot(q, k)
+        U[i] = L[i] + (r != 0 or int(L[i]) ** k != q)
+    return L, U, P
+
+
+def certify_anchored_triples(N: int, L: np.ndarray, U: np.ndarray, P: int) -> tuple[int, int]:
+    """(holds, fails): the triples a < b < c that surely hold, and surely fail,
+    f(b) <= lam f(a) + (1 - lam) f(c) + (c - a)/N with lam = (c - b)/(c - a),
+    for every f with L <= f * 2**P <= U.
+
+    With i = b - a, j = c - b and den = c - a, times N * den * 2**P: a triple
+    surely holds when N*den*U[b] <= N*(j*L[a] + i*L[c]) + den**2 * 2**P, and
+    surely fails when N*den*L[b] > N*(j*U[a] + i*U[c]) + den**2 * 2**P.
+    Every term is below 2**61, so int64 rows are exact.  The rest are
+    undecided.
+    """
+    holds = fails = 0
+    for b in range(1, N):
+        a = np.arange(b, dtype=np.int64)[:, None]
+        c = np.arange(b + 1, N + 1, dtype=np.int64)[None, :]
+        i, j, den = b - a, c - b, c - a
+        defect = (den * den) << P
+        holds += int((N * den * U[b] <= N * (j * L[a] + i * L[c]) + defect).sum())
+        fails += int((N * den * L[b] > N * (j * U[a] + i * U[c]) + defect).sum())
+    return holds, fails
+
+
 def reference_majorant(x) -> tuple[float, int]:
     """(E(x), branch) with the branch chosen by reference_branch on the Fraction d(x) = min(x, 1 - x).
 

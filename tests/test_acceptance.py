@@ -38,7 +38,7 @@ from relconv.extremal import (
 from relconv.grid import GridFunction
 from relconv.isoperimetry import profile, six_cycle_counterexample
 
-from conftest import min_boundary_unrestricted
+from conftest import certify_anchored_triples, majorant_enclosure, min_boundary_unrestricted
 
 SUP_SIZES = (64, 128, 256, 512)
 
@@ -79,6 +79,26 @@ def test_a3_majorant_grid_membership_scan():
         assert not violations, f"N={n}: {violations[:3]}"
         assert violations.max_slack < 1e-9
     print("[PASS] A3 anchored-class scan of the majorant grid clean at N=64,128,256,512")
+    # the float scan's ties are real equalities; integer enclosures of E decide
+    # every triple with no tolerance, so membership is proved at these N
+    for n, exact in [(64, 37), (128, 69), (256, 137)]:
+        L, U, P = majorant_enclosure(n)
+        assert int((L == U).sum()) == exact and int((U - L).max()) == 1
+        assert certify_anchored_triples(n, L, U, P) == ((n + 1) * n * (n - 1) // 6, 0)
+    print("[PASS] A3 every triple of the majorant grid surely holds at N=64,128,256")
+
+
+def test_a3_enclosure_negative_controls():
+    # E raised by 2**-43 at N/4, where triples are tight, surely fails two of
+    # them; at the irrational point 37, where none is tight, it fails none
+    n = 256
+    for i, fails in [(n // 4, 2), (37, 0)]:
+        L, U, P = majorant_enclosure(n)
+        L[i] += 2 ** (P - 43)
+        U[i] += 2 ** (P - 43)
+        holds, failed = certify_anchored_triples(n, L, U, P)
+        assert (holds, failed) == ((n + 1) * n * (n - 1) // 6 - fails, fails)
+    print("[PASS] A3 enclosure certifies 2 failures for E + 2**-43 at N/4, none at i=37")
 
 
 def test_a4_sup_estimate_dominates_and_converges(sup_estimates):

@@ -80,7 +80,7 @@ class TestEstimateSup:
         path = tmp_path / "sup.csv"
         code, out = run(capsys, "estimate-sup", "--p", "1", "--n", "8", "--csv", str(path))
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["i", "x", "value"]
         assert len(rows) == 10
         assert rows[1][:2] == ["0", "0/8"]
@@ -442,7 +442,7 @@ class TestProfile:
         code, _ = run(capsys, "profile", "--group", "Z4", "--s", "(1)", "--out", str(out),
                       "--format", "csv")
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 5
         assert rows[2]["ratio"] == "1.0"
 
@@ -464,7 +464,7 @@ class TestVerifyCatalog:
         code, text = run(capsys, "verify-catalog", "--catalog", str(cat), "--out", str(out))
         assert code == 0
         assert text.endswith(", 0 bound violation(s)\n")  # the arc list's sub-bound cells are not counted
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert list(rows[0].keys()) == ["group", "S", "n", "min_boundary", "bound", "ratio", "witness", "wall_ms"]
         assert len(rows) == 7 + 7
         cycle_rows = [r for r in rows if r["group"] == "six-cycle"]
@@ -486,7 +486,7 @@ class TestVerifyCatalog:
         one, two = tmp_path / "profile.csv", tmp_path / "catalog.csv"
         assert main(["profile", "--group", "Z2xZ6", "--s", "basis", "--format", "csv", "--out", str(one)]) == 0
         assert main(["verify-catalog", "--catalog", str(cat), "--out", str(two)]) == 0
-        a, b = (list(csv.reader(p.open())) for p in (one, two))
+        a, b = (list(csv.reader(p.read_text().splitlines())) for p in (one, two))
         assert a[0] == b[0] == ["group", "S", "n", "min_boundary", "bound", "ratio", "witness", "wall_ms"]
         assert [r[:-1] for r in a] == [r[:-1] for r in b]
         assert a[1][5] == a[-1][5] == "inf"  # the bound is 0 at n = 0 and n = |G|

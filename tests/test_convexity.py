@@ -672,6 +672,15 @@ class TestEndpointReduction:
         with pytest.raises(ValueError):
             check_endpoint_reduction(GridFunction(16, x**2))
 
+    def test_concavity_tolerance_scales_with_the_values(self):
+        # rounding alone lifts a tall tent's second differences past 1e-12,
+        # so an absolute tolerance called these concave tents non-concave
+        for h in (1e5, 1e6, 1e9):
+            assert check_endpoint_reduction(make_tent(Fraction(1, 3), h, 99)) == (False, False)
+        x = np.arange(100) / 99
+        with pytest.raises(ValueError, match="not concave"):
+            check_endpoint_reduction(GridFunction(99, 1e6 * (x**2 - x)))  # convex at the same scale
+
     def test_huge_finite_constant_is_concave(self):
         # 2 * -1e308 overflows to -inf; the differences of a constant are 0
         exact = check_endpoint_reduction(GridFunction(2, [Fraction(-1e308)] * 3))

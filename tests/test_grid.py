@@ -227,6 +227,25 @@ def test_triple_diagonals_are_the_symmetric_entries(N):
                 assert got.tobytes() == row(b)[b - i, i - 1].tobytes()  # the triples (b-i, b, b+i)
 
 
+def test_only_row_results_are_overwritten():
+    # block and diagonal return new arrays: later calls of any accessor, v
+    # rewritten between them, leave a kept result as it was
+    N = 48
+    rng = np.random.default_rng(N)
+    v = rng.standard_normal(N + 1)
+    row = _triple_rows(N, _chord(lambda den, lam: 0.5 * lam), v)
+    block, diagonal = row.block(2, 5), row.diagonal(7)
+    kept = block.copy(), diagonal.copy()
+    v[:] = rng.standard_normal(N + 1)
+    row.block(3, 6)
+    row.push(np.full(N + 1, np.inf), a=1)
+    row.push(np.full(N + 1, np.inf), c=N)
+    row.diagonal(9)
+    row(4)
+    assert block.tobytes() == kept[0].tobytes()
+    assert diagonal.tobytes() == kept[1].tobytes()
+
+
 def test_a_sweep_of_diagonals_allocates_no_table():
     # at p = 2 every row of the one sweep reads its symmetric triples alone,
     # so the (N-1)**2 tables, 384 MiB at N = 4096, are never filled
