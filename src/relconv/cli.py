@@ -20,9 +20,9 @@ import functools
 import json
 import sys
 import warnings
+from array import array
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 
 from . import catalog as cat
 from .cayley import AbelianGroup, ConnectionSet
@@ -49,43 +49,72 @@ from .isoperimetry import profile, six_cycle_counterexample
 SCHEMA_VERSION = 1
 
 
-# One Violation as json.dumps(indent=2) spells it inside a top-level list:
-# json writes ints and finite floats as int.__repr__ and float.__repr__ do,
-# and %d spells a whole float as the int.
+# One Violation as json.dumps(indent=2) spells it inside a top-level list,
+# given its ints, which json writes as %d does, and its floats' _spellings.
 _VIOLATION_ROW = ('    {\n      "a": %d,\n      "b": %d,\n      "c": %d,\n'
-                  '      "lhs": %r,\n      "rhs": %r,\n      "slack": %r\n    }')
+                  '      "lhs": %s,\n      "rhs": %s,\n      "slack": %s\n    }')
 
 
 def _write_json(path: str, payload: dict) -> None:
     """Write json.dumps(payload, indent=2) + "\\n".
 
     A top-level "violations" list of Violation or TupleViolation records is
-    spelled with a fixed %-template per record instead: with indent set,
-    json.dumps runs its pure-Python encoder, item by item.
+    spelled by _records_json instead, and the file gets the envelope's head,
+    those records and its tail in turn, never a copy of them joined.
     """
     records = payload.get("violations")
     text = json.dumps({**payload, "violations": []} if records else payload, indent=2)
     if records:
         # strings hold no raw newline, so this is the top-level key
-        text = text.replace('\n  "violations": []', '\n  "violations": [\n' + _records_json(records) + '\n  ]', 1)
-    Path(path).write_text(text + "\n")
+        head, tail = text.split('\n  "violations": []', 1)
+        parts = [head, '\n  "violations": [\n', _records_json(records), "\n  ]", tail, "\n"]
+    else:
+        parts = [text, "\n"]
+    with open(path, "w") as fh:
+        fh.writelines(parts)
 
 
 def _records_json(records: list) -> str:
+    """The records as json.dumps(indent=2) spells a top-level list's items.
+
+    One %-template pass spells them all, where json.dumps with indent set
+    runs its pure-Python encoder item by item.  The ints go in as they are,
+    and each float column as its _spellings.
+    """
     if isinstance(records[0], TupleViolation):  # one m per list, of ints and floats only
-        xs = ",\n".join(["        %d"] * len(records[0][0]))
-        row = '    {\n      "xs": [\n' + xs + '\n      ],\n      "lhs": %r,\n      "rhs": %r\n    }'
-        values = tuple(chain.from_iterable([(*x, lo, hi) for x, lo, hi in records]))
+        ints = len(records[0][0])
+        xs = ",\n".join(["        %d"] * ints)
+        row = '    {\n      "xs": [\n' + xs + '\n      ],\n      "lhs": %s,\n      "rhs": %s\n    }'
+        flat = list(chain.from_iterable([(*x, lo, hi) for x, lo, hi in records]))
     else:
-        row = _VIOLATION_ROW
-        try:
-            values = tuple(map(float, chain.from_iterable(records)))
-        except OverflowError:  # an exact value past the float range
-            values = tuple(map(_float, chain.from_iterable(records)))
-    text = ",\n".join([row] * len(records)) % values
-    if "inf" in text or "nan" in text:  # no key or finite repr holds either
-        text = text.replace("inf", "Infinity").replace("nan", "NaN")
-    return text
+        ints, row = 3, _VIOLATION_ROW
+        flat = list(chain.from_iterable(records))
+    width = len(flat) // len(records)
+    for k in range(ints, width):
+        flat[k::width] = _spellings(flat[k::width])
+    return ",\n".join([row] * len(records)) % tuple(flat)
+
+
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _spellings(xs: list) -> list[str]:
+    """json.dumps' spelling of each float(x): float.__repr__, or Infinity,
+    -Infinity or NaN; each distinct float is spelled once.
+
+    A float scan's lhs column holds one value per middle index, and its rhs
+    and slack columns repeat values too.  Floats are told apart by their bits,
+    which keeps 0.0 and -0.0 apart; equal bits spell alike, NaNs included.
+    """
+    try:
+        floats = array("d", xs)  # as float(x) would convert each
+    except OverflowError:  # an exact value past the float range
+        floats = array("d", map(_float, xs))
+    bits = memoryview(floats).cast("B").cast("q").tolist()
+    distinct = dict(zip(bits, floats))
+    reprs = list(map(float.__repr__, distinct.values()))
+    spelled = dict(zip(distinct, map(_NON_FINITE.get, reprs, reprs)))
+    return list(map(spelled.__getitem__, bits))
 
 
 def _emit(args, config: dict, body: dict) -> None:
@@ -211,11 +240,12 @@ def _cmd_profile(args) -> int:
 
 
 def _write_rows_csv(path: str, rows: list[dict]) -> None:
-    """Write profile rows under their keys as header; csv spells a float as repr does."""
+    """Write profile rows, which share their keys, under the first row's keys
+    as header; csv spells a float as repr does."""
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+        w = csv.writer(fh)
+        w.writerow(rows[0])
+        w.writerows(map(dict.values, rows))
 
 
 def _cmd_verify_catalog(args) -> int:

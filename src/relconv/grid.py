@@ -12,6 +12,8 @@ import csv
 import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -263,17 +265,21 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
 
 
 def write_csv(f: GridFunction, path: str | Path) -> None:
-    """Write a grid function as rows `i,x,value` with x the literal fraction i/N."""
+    """Write a grid function as rows `i,x,value` with x the literal fraction i/N.
+
+    An exact value is written num/den and a float as repr spells it; the
+    bytes are csv.writer's, "\\r\\n" line ends included, spelled in one
+    %-template pass.
+    """
+    N, i = f.N, range(f.N + 1)
+    if f.is_exact:
+        row = "%d,%d/%d,%d/%d\r\n"
+        fields = zip(i, i, repeat(N), map(attrgetter("numerator"), f.values), map(attrgetter("denominator"), f.values))
+    else:
+        row = "%d,%d/%d,%r\r\n"
+        fields = zip(i, i, repeat(N), f.floats().tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "x", "value"])
-        for i in range(f.N + 1):
-            v = f[i]
-            if isinstance(v, (Fraction, int)):
-                v = Fraction(v)
-                w.writerow([i, f"{i}/{f.N}", f"{v.numerator}/{v.denominator}"])
-            else:
-                w.writerow([i, f"{i}/{f.N}", repr(float(v))])
+        fh.write("i,x,value\r\n" + (row * (N + 1)) % tuple(chain.from_iterable(fields)))
 
 
 def read_csv(path: str | Path) -> GridFunction:

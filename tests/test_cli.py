@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import relconv
 from relconv import cli, isoperimetry
+from relconv.cayley import AbelianGroup, ConnectionSet
 from relconv.cli import main
 from relconv.convexity import (
     TupleViolation,
@@ -245,6 +247,14 @@ def _float_tent(tmp_path):
     return str(path), "F0", [], check_almost_convex_anchored(read_csv(path))
 
 
+def _float_tent_96(tmp_path):
+    # above the parabola: 12,938 float records over 20 middle indices, whose
+    # lhs, rhs and slack columns each repeat values
+    path = tmp_path / "tent96.csv"
+    write_csv(make_tent(Fraction(3, 8), 1.25, 96), path)
+    return str(path), "F0", [], check_almost_convex_anchored(read_csv(path))
+
+
 def _exact_tent(tmp_path):
     return ("builtin:tent:1/4,4/5", "F0", ["--n", "16"],
             check_almost_convex_anchored(make_tent(Fraction(1, 4), Fraction(4, 5), 16)))
@@ -294,10 +304,10 @@ def _awkward_path(tmp_path):
 class TestReportBytes:
     """check-class --out writes exactly json.dumps(payload, indent=2) + "\\n"."""
 
-    @pytest.mark.parametrize("case", [_float_tent, _exact_tent, _sampled_tuples, _pairs, _member, _huge_values,
-                                      _huge_exact, _awkward_path],
-                             ids=["float-tent", "exact-tent", "tuples", "pairs", "member", "huge-values", "huge-exact",
-                                  "awkward-path"])
+    @pytest.mark.parametrize("case", [_float_tent, _float_tent_96, _exact_tent, _sampled_tuples, _pairs, _member,
+                                      _huge_values, _huge_exact, _awkward_path],
+                             ids=["float-tent", "float-tent-96", "exact-tent", "tuples", "pairs", "member",
+                                  "huge-values", "huge-exact", "awkward-path"])
     def test_report_equals_json_dumps(self, capsys, tmp_path, case):
         fn, klass, extra, violations = case(tmp_path)
         out = tmp_path / "r.json"
@@ -338,9 +348,23 @@ class TestReportBytes:
 
     def test_writer_spells_every_record_shape(self, tmp_path):
         nan, inf = float("nan"), float("inf")
+        shared = 0.1 + 0.2
+        third = Fraction(1, 3)
         shapes = [
             [Violation(0, 1, 2, 0.5, Fraction(1, 3), -inf), Violation(1, 2, 3, nan, -0.0, 1e-300)],
             [TupleViolation((0, 3), 1.5, inf), TupleViolation((1, 2), nan, -1e22)],
+            # equal floats that spell apart: each float is spelled once, so no
+            # spelling may stand for another value's
+            [Violation(0, 1, 2, 0.0, -0.0, 0.0), Violation(0, 2, 3, -0.0, 0.0, -0.0),
+             Violation(1, 2, 3, 0.0, -0.0, 0.0)],
+            [TupleViolation((0, 2), -0.0, 0.0), TupleViolation((1, 3), 0.0, -0.0)],
+            # distinct NaN objects, which a dict key finds by identity alone, and a negative NaN
+            [Violation(0, 1, 2, float("nan"), 1.0, float("nan")), Violation(0, 2, 4, float("nan"), -nan, nan)],
+            # many records, one lhs object, as a float scan's row gives
+            [Violation(a, 40, c, shared, shared + c, c - a / 7) for a in range(40) for c in range(41, 60)],
+            # distinct Fractions that round to one float, and one past the float range
+            [Violation(0, 1, 2, third, third, -third), Violation(0, 2, 3, third + Fraction(1, 10**30), third, -inf),
+             Violation(1, 2, 3, Fraction(10**400), -Fraction(10**400), Fraction(-1, 10**400))],
         ]
         for records in shapes:
             violations = ViolationList(records)
@@ -348,6 +372,22 @@ class TestReportBytes:
             cli._write_json(str(path), {"schema_version": 1, "violations": violations, "max_slack": nan})
             oracle = {"schema_version": 1, "violations": [record_dict(v) for v in violations], "max_slack": nan}
             assert path.read_text() == json.dumps(oracle, indent=2) + "\n"
+
+
+def test_rows_csv_is_dict_writers(tmp_path):
+    group = AbelianGroup.parse("Z2xZ6")
+    rows = isoperimetry.profile(group, ConnectionSet.from_text(group, "basis")).rows()
+    rows[2]["bound"] = float("nan")  # beside the inf ratios at n = 0 and n = |G|
+    assert rows[0]["S"] == "(1,0),(0,1)" and rows[0]["ratio"] == float("inf")
+    path = tmp_path / "rows.csv"
+    cli._write_rows_csv(str(path), rows)
+    oracle = io.StringIO(newline="")
+    w = csv.DictWriter(oracle, fieldnames=list(rows[0]))
+    w.writeheader()
+    w.writerows(rows)
+    text = path.read_bytes().decode()
+    assert text == oracle.getvalue()
+    assert '"(1,0),(0,1)"' in text and ",inf," in text and ",nan," in text
 
 
 # argv of each subcommand that writes a JSON report, and its exit code

@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 import warnings
 import weakref
@@ -42,6 +44,28 @@ def test_csv_roundtrip_exact(tmp_path):
     g = read_csv(path)
     assert g.is_exact
     assert g.values == f.values
+
+
+def csv_writer_bytes(f: GridFunction) -> bytes:
+    """The file as csv.writer spells its rows: the oracle for write_csv's template."""
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["i", "x", "value"])
+    for i, v in enumerate(f.values):
+        w.writerow([i, f"{i}/{f.N}", f"{v.numerator}/{v.denominator}" if f.is_exact else repr(float(v))])
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("values", [
+    np.array([-0.0, 5e-324, 1e16, 1.7e308, -1.7e308, 0.1, -2.5e-310]),
+    [Fraction(-7, 3), Fraction(17 * 10**307 + 1, 3), -5, Fraction(-1, 10**400 + 7), Fraction(0)],
+], ids=["floats", "fractions"])
+def test_csv_bytes_are_csv_writers(tmp_path, values):
+    f = GridFunction(len(values) - 1, values)
+    path = tmp_path / "f.csv"
+    write_csv(f, path)
+    assert path.read_bytes() == csv_writer_bytes(f)
+    assert b"\r\n" in path.read_bytes()
 
 
 def test_csv_header_validated(tmp_path):
