@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridFunction, _chord, _triple_rows
+from .grid import GridFunction, _chord, _rhs, _triple_rows
 
 Real = int | float | Fraction
 
@@ -164,6 +164,15 @@ def sup_closed_form(p: float, N: int) -> GridFunction:
     return GridFunction(N, (4 * b * (N - b)) / (N * N) * (2 / N) ** (p - 2), label=f"sup-closed-form[p={p}]")
 
 
+def _symmetric(v: np.ndarray, b: int, spread: np.ndarray) -> np.ndarray:
+    """The rhs of the symmetric triples (b-i, b, b+i), i = 1..min(b, N-b)
+    ascending, for the sup's defect spread[c - a]: a new array, the same
+    bits as those entries of grid._triple_rows' row(b), since lam = i/(2i)
+    and 1 - lam are 1/2 exactly and the defect is spread[2i]."""
+    n = min(b, len(v) - 1 - b)
+    return _rhs(0.5, v[b - n : b][::-1], 0.5, v[b + 1 : b + 1 + n], spread[2 : 2 * n + 1 : 2])
+
+
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration ran out of sweeps before the tolerance was met;
     `last` is the last iterate."""
@@ -200,9 +209,9 @@ def estimate_sup(
     the sweeps contract slowly.
 
     A sweep pulls or pushes.  A pull sweep reads each row whole, or only
-    its symmetric triples (b-i, b, b+i) (grid._triple_rows' row.diagonal)
-    when no other triple can lower it, by this rule.  Let cc =
-    (2/N)**max(p-2, 0) and h = cc*4x(1-x) at x = b/N.  A triple with offsets
+    its symmetric triples (b-i, b, b+i) (_symmetric) when no other triple
+    can lower it, by this rule.  Let cc = (2/N)**max(p-2, 0) and h =
+    cc*4x(1-x) at x = b/N.  A triple with offsets
     i = b - a and j = c - b, span s = (i+j)/N and lam = j/(i+j) has h-gap
     cc*4lam(1-lam)s**2 = cc*4ij/N**2 <= cc*s**2 <= s**p (s <= 1 = cc for
     p <= 2, s >= 2/N for p >= 2, as in sup_closed_form), so h is a member,
@@ -277,9 +286,10 @@ def estimate_sup(
     triples one sweep visits `triples`, the triples each sweep actually
     evaluated `triples_read` (pads excluded), the per-sweep wall times
     `sweep_ms`, the per-sweep largest decreases `decreases`, the last of
-    them `last_decrease`, and `converged`.  The triple tables are built
-    once per call, at its first whole-row read (see grid._triple_rows):
-    O(N^2) memory then, O(N) when every row reads its symmetric triples.
+    them `last_decrease`, and `converged`.  The triple tables
+    (grid._triple_rows) are built at most once per call, at the first sweep
+    that reads a row whole or pushes: O(N^2) memory then, O(N) when no
+    sweep does.
     """
     if N < 2:
         raise ValueError(f"grid resolution must be >= 2, got {N}")
@@ -292,7 +302,7 @@ def estimate_sup(
 
     g = np.minimum(sup_closed_form(p, N).floats(), 1.0)
     spread = (np.arange(N + 1) / N) ** p
-    row = _triple_rows(N, _chord(lambda den, lam: spread[den]), g)
+    row = None  # the kernel, made at the first sweep that needs it
     triples = (N + 1) * N * (N - 1) // 6  # the sum over b of b*(N - b)
     k = np.arange(N + 1)
     with_c = k * (k - 1) // 2  # with_c[c]: the triples (a, b, c) with that c; with_a[a], with that a
@@ -318,14 +328,16 @@ def estimate_sup(
         near = (g - h < cc / (N * N) - margin) & ruled  # the rows that read their symmetric triples alone
         pull = int(np.where(near, symmetric, whole)[1:N].sum())
         pushing = lowered is not None and int(with_c[lowered].sum() + with_a[lowered].sum()) < pull
+        if row is None and (pushing or not near[1:N].all()):
+            row = _triple_rows(N, _chord(lambda den, lam: spread[den]), g)
         if pushing:
             acc.fill(np.inf)
             for c in lowered:
                 row.push(acc, c=c)
         pushed, lowered = lowered, []
-        diagonal = near.tolist()
+        alone = near.tolist()
         for b in range(1, N):
-            m = acc[b] if pushing else (row.diagonal(b) if diagonal[b] else row(b)).min()
+            m = acc[b] if pushing else (_symmetric(g, b, spread) if alone[b] else row(b)).min()
             if m < g[b]:
                 max_dec = max(max_dec, g[b] - m)
                 g[b] = m

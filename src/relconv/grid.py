@@ -107,11 +107,11 @@ def _rhs(w0, x0, w1, x1, w2, out=None, part=None) -> np.ndarray:
     part, then out += w2, broadcasting each product to out's shape; numpy
     allocates out and part when they are not given.
 
-    Every accessor of _triple_rows evaluates its triples here, so an entry
-    that two accessors share gets the same four IEEE operations on the same
-    operands in the same order, and so the same bits, whatever the views'
-    shapes and strides; for int64 and object weights the result is the
-    exact integer either way.
+    Every accessor of _triple_rows, and extremal._symmetric, evaluates its
+    triples here, so an entry that two of them share gets the same four IEEE
+    operations on the same operands in the same order, and so the same bits,
+    whatever the views' shapes and strides; for int64 and object weights the
+    result is the exact integer either way.
     """
     out = np.multiply(w0, x0, out=out)
     out += np.multiply(w1, x1, out=part)
@@ -135,17 +135,16 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     stay block-sized; the entries past the triangle hold no triple and are
     what row.block and row.push read for their +inf pads.  The tables,
     row's two work buffers and a copy of v with +inf on both sides, with
-    its sliding windows, are made at the first row, block or push call, so
-    a caller that reads only row.diagonal allocates O(N).  _chord gives the
-    float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a) = j/den;
-    the exact scan passes the integers (N*j, N*i, -C*den**2).
+    its sliding windows, are made when the kernel is made.  _chord gives
+    the float weights (lam, 1 - lam, defect) with lam = (c - b)/(c - a) =
+    j/den; the exact scan passes the integers (N*j, N*i, -C*den**2).
 
     Returns row.  Each accessor below evaluates rhs = w0*v[a] + w1*v[c] + w2
     through _rhs, so a triple that two of them read gets the same bits, and
     reads v when called: a caller may rewrite v between calls (the sup
     writing v[b] sees the update in row b + 1; the exact scan writes
     F[b] - F into v before row b).  A result of row is valid until row's
-    next call; every other accessor returns a new array.
+    next call; row.block returns a new array.
 
     row(b), for 1 <= b <= N-1, is the (a, c) matrix of middle index b.  Its
     views are made at its first call and kept, so a caller that stops early
@@ -172,32 +171,22 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     copy holds v reversed for c), and folds each slab's least entry per
     middle index into least with np.minimum.  A minimum is exact, so
     least[b] ends as the same float whatever the slabs.
-
-    row.diagonal(b), for 1 <= b <= N-1, evaluates row b's symmetric
-    triples (b-i, b, b+i) for i = 1..min(b, N-b) ascending: the
-    anti-diagonal [b-i, i-1] of row(b), from weights(i, i, 2i) written
-    into length-N//2 vectors at its first call, entry by entry as the
-    tables are.
     """
     pad = math.isqrt(_BLOCK_TRIPLES) - 1  # v[x] is padded[pad + x]; a block of K rows reads from x = 1 - K
-    tables: list = []  # [w0, w1, w2, buf, tmp, padded, windows], made at the first row, block or push call
+    i = np.arange(N - 1, 0, -1)[:, None]
+    j = np.arange(1, N)[None, :]
+    w0, w1, w2 = (np.empty((N - 1, N - 1), dtype=v.dtype) for _ in range(3))
+    step = max(1, 2**16 // N)
+    for r in range(0, N - 1, step):
+        den = i[r : r + step] + j
+        weights(i[r : r + step], j, np.minimum(den, N, out=den), [w[r : r + step] for w in (w0, w1, w2)])
+    size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
+    buf, tmp = np.empty(size, dtype=v.dtype), np.empty(size, dtype=v.dtype)
+    padded = np.full(pad + 2 * N - 1, np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, N - 1)
 
-    def fill() -> list:
-        i = np.arange(N - 1, 0, -1)[:, None]
-        j = np.arange(1, N)[None, :]
-        w0, w1, w2 = (np.empty((N - 1, N - 1), dtype=v.dtype) for _ in range(3))
-        step = max(1, 2**16 // N)
-        for r in range(0, N - 1, step):
-            den = i[r : r + step] + j
-            weights(i[r : r + step], j, np.minimum(den, N, out=den), [w[r : r + step] for w in (w0, w1, w2)])
-        size = (N // 2) * ((N + 1) // 2)  # max over b of b*(N - b)
-        padded = np.full(pad + 2 * N - 1, np.inf)
-        tables.extend([w0, w1, w2, np.empty(size, dtype=v.dtype), np.empty(size, dtype=v.dtype),
-                       padded, np.lib.stride_tricks.sliding_window_view(padded, N - 1)])
-        return tables
-
-    # row keeps its views and its two buffers, where the other accessors take
-    # new arrays, because both pay on a 2-core Xeon: without the views, a
+    # row keeps its views and its two buffers, where block and push take new
+    # arrays, because both pay on a 2-core Xeon: without the views, a
     # second pass of rows at N = 200 took 5.9 ms against 5.0 (min of 15), and
     # the sup bench's raw job_p50_ms rose from 12.13 to 13.12 ms in 4 of 4
     # alternating pairs; with new arrays, the F0 scan of F at N = 384 and 512,
@@ -206,7 +195,6 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
 
     def row(b: int) -> np.ndarray:
         if views[b] is None:
-            w0, w1, w2, buf, tmp, *_ = tables or fill()
             sl = np.s_[N - 1 - b : N - 1, : N - b]
             shape = (b, N - b)
             views[b] = (w0[sl], v[:b, None], w1[sl], v[None, b + 1 :], w2[sl],
@@ -217,7 +205,6 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         K = b1 - b0
         if K * (b1 - 1) * (N - b0) > _BLOCK_TRIPLES:
             raise ValueError(f"rows {b0}..{b1 - 1} at N={N} hold more than {_BLOCK_TRIPLES} block entries")
-        w0, w1, w2, _, _, padded, windows = tables or fill()
         padded[pad : pad + N + 1] = v
         sl = np.s_[N - b1 : N - 1, : N - b0]
         a0 = pad + b0 - (b1 - 1)
@@ -229,7 +216,6 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         # other index's values at padded[pad + o + i + 1 :]; s[k] holds
         # middle index b - k, +inf past the grid
         o = a if c is None else N - c
-        w0, w1, w2, _, _, padded, windows = tables or fill()
         padded[pad : pad + N + 1] = v if c is None else v[::-1]
         x = v[a] if c is None else v[c]
         L = i1 = N - o
@@ -246,21 +232,9 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
             np.minimum(fold, s.min(axis=1), out=fold)
             i1 = i0
 
-    diag: list = []  # [d0, d1, d2] over i = 1..N//2, made at the first diagonal call
-
-    def diagonal(b: int) -> np.ndarray:
-        if not diag:
-            k = np.arange(1, N // 2 + 1)
-            diag.extend(np.empty(N // 2, dtype=v.dtype) for _ in range(3))
-            weights(k, k, 2 * k, diag)
-        n = min(b, N - b)
-        d0, d1, d2 = [x[:n] for x in diag]
-        return _rhs(d0, v[b - n : b][::-1], d1, v[b + 1 : b + 1 + n], d2)
-
-    # none of them refers to row, so no cycle keeps the tables past their last caller
+    # neither refers to row, so no cycle keeps the tables past their last caller
     row.block = block
     row.push = push
-    row.diagonal = diagonal
     return row
 
 

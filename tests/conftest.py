@@ -151,6 +151,50 @@ def certify_anchored_triples(N: int, L: np.ndarray, U: np.ndarray, P: int) -> tu
     return holds, fails
 
 
+def exact_sup_p1(N: int) -> list[Fraction]:
+    """The discrete sup of estimate_sup at p = 1, in Fractions, by policy iteration.
+
+    Substituting g[0] = g[N] = 0 into the endpoint triples leaves, for each
+    interior b, the constraints
+        g[b] <= (b/c) g[c] + c/N                for c > b   (triple (0, b, c)),
+        g[b] <= ((N-b)/(N-a)) g[a] + (N-a)/N    for a < b   (triple (a, b, N)),
+    with g = 0 at 0 and N.  A policy picks one of them per b; its value
+    follows the links b -> c or b -> a down to an end, a recursion rather
+    than a solve (a policy whose links close a cycle raises).  Each round
+    re-picks every b's least constraint at the current value, keeping its
+    link on ties, from the full-span policy (0, b, N), whose value is 1,
+    until no link changes; the value g then meets g = T(g), T the pointwise
+    least of the constraints.
+
+    Why g, when a member, is the sup.  Every member f of the class
+    has f[0], f[N] <= 0, so it satisfies each constraint (the dropped terms
+    lam*f[0] and (1-lam)*f[N] are <= 0): f <= T(f) on the interior, with f
+    taken as 0 at the ends.  T is monotone and each coefficient is at most
+    (N-1)/N < 1, so T contracts the sup norm and, by this maximum
+    principle, f <= T(f) <= T(T(f)) <= ... -> g.  So g bounds every member
+    pointwise, and when the exact scan finds g a member, g is the sup.
+    """
+    links = [[]] + [[(c, Fraction(b, c), Fraction(c, N)) for c in range(b + 1, N + 1)]
+                    + [(a, Fraction(N - b, N - a), Fraction(N - a, N)) for a in range(b)] for b in range(1, N)]
+    policy = [None] + [(N, Fraction(b, N), Fraction(1)) for b in range(1, N)]
+    while True:
+        g = {0: Fraction(0), N: Fraction(0)}
+        for b in range(1, N):
+            path = []
+            while b not in g:
+                if b in path:
+                    raise ValueError(f"policy links close a cycle through {b}")
+                path.append(b)
+                b = policy[b][0]
+            for b in reversed(path):
+                t, w, s = policy[b]
+                g[b] = w * g[t] + s
+        new = [None] + [min(links[b], key=lambda x: (x[1] * g[x[0]] + x[2], x != policy[b])) for b in range(1, N)]
+        if new == policy:
+            return [g[b] for b in range(N + 1)]
+        policy = new
+
+
 def reference_majorant(x) -> tuple[float, int]:
     """(E(x), branch) with the branch chosen by reference_branch on the Fraction d(x) = min(x, 1 - x).
 

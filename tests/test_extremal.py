@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,9 @@ from relconv.extremal import (
     sup_closed_form,
 )
 from relconv.convexity import check_almost_convex
-from relconv.grid import GridFunction, _triple_rows
+from relconv.grid import GridFunction, _chord, _triple_rows
 
-from conftest import exact_parabola_grid, reference_majorant
+from conftest import exact_parabola_grid, exact_sup_p1, reference_branch, reference_majorant
 
 
 def brute_majorant(x: float, kmax: int = 200) -> float:
@@ -321,7 +322,8 @@ class TestDirtySweeps:
         # those of the changed values, so a push sweep reads no more than it
         # needs.
         calls = []
-        diagonal_rows = {(1, 64): [32], (1.5, 97): [], (1.9, 80): [40]}[p, N]
+        symmetric_rows = {(1, 64): [32], (1.5, 97): [], (1.9, 80): [40]}[p, N]
+        symmetric = extremal._symmetric
 
         def spy(N, weights, v):
             row = _triple_rows(N, weights, v)
@@ -331,21 +333,21 @@ class TestDirtySweeps:
                 calls.append(("row", b, v.copy(), rhs.shape))
                 return rhs
 
-            def diagonal_spy(b):
-                rhs = row.diagonal(b)
-                calls.append(("diagonal", b, v.copy(), rhs.shape))
-                return rhs
-
             def push_spy(least, **outer):
                 ((side, x),) = outer.items()
                 calls.append((side, x, v.copy(), None))
                 row.push(least, **outer)
 
-            row_spy.diagonal = diagonal_spy
             row_spy.push = push_spy
             return row_spy
 
+        def symmetric_spy(v, b, spread):
+            rhs = symmetric(v, b, spread)
+            calls.append(("symmetric", b, v.copy(), rhs.shape))
+            return rhs
+
         monkeypatch.setattr(extremal, "_triple_rows", spy)
+        monkeypatch.setattr(extremal, "_symmetric", symmetric_spy)
         stats: dict = {}
         estimate_sup(p, N, stats=stats)
         iterates, _ = full_row_sweeps(p, N, 1e-9)
@@ -353,7 +355,7 @@ class TestDirtySweeps:
         # a sweep starts with row 1 (a pull) or with a column push after other calls (a push)
         sweeps: list[list] = []
         for call in calls:
-            pull_start = call[0] in ("row", "diagonal") and call[1] == 1
+            pull_start = call[0] in ("row", "symmetric") and call[1] == 1
             if pull_start or call[0] == "c" and (not sweeps or sweeps[-1][-1][0] != "c"):
                 sweeps.append([])
             sweeps[-1].append(call)
@@ -361,12 +363,12 @@ class TestDirtySweeps:
         pulls = pushes = 0
         for k, sweep in enumerate(sweeps):
             before, after = G[k], G[k + 1]
-            if sweep[0][0] in ("row", "diagonal"):
+            if sweep[0][0] in ("row", "symmetric"):
                 pulls += 1
                 assert [call[:2] for call in sweep] == [
-                    ("diagonal" if b in diagonal_rows else "row", b) for b in range(1, N)]
+                    ("symmetric" if b in symmetric_rows else "row", b) for b in range(1, N)]
                 assert [shape for *_, shape in sweep] == [
-                    (min(b, N - b),) if b in diagonal_rows else (b, N - b) for b in range(1, N)]
+                    (min(b, N - b),) if b in symmetric_rows else (b, N - b) for b in range(1, N)]
                 for _, b, v, _ in sweep:
                     assert v.tobytes() == np.concatenate([after[:b], before[b:]]).tobytes()
                 continue
@@ -408,25 +410,22 @@ def symmetric_reads(monkeypatch, p: float, N: int, tol: float = 1e-9, start: np.
     triples alone, checking at each such read that the whole row(b) holds
     those entries, bit for bit, and no other entry below g[b]."""
     read: list[int] = []
+    kernel: list = []  # [v, a kernel of its own over the run's g = v], to read row(b) whole
+    symmetric = extremal._symmetric
 
-    def spy(N, weights, v):
-        row = _triple_rows(N, weights, v)
-        diagonal = row.diagonal
+    def checked(v, b, spread):
+        d = symmetric(v, b, spread)
+        if not kernel or kernel[0] is not v:
+            kernel[:] = v, _triple_rows(N, _chord(lambda den, lam: spread[den]), v)
+        whole = kernel[1](b).copy()
+        i = np.arange(1, min(b, N - b) + 1)
+        assert whole[b - i, i - 1].tobytes() == d.tobytes()
+        whole[b - i, i - 1] = np.inf
+        assert whole.min() >= v[b], (b, whole.min() - v[b])
+        read.append(b)
+        return d
 
-        def checked(b):
-            d = diagonal(b)
-            whole = row(b).copy()
-            i = np.arange(1, min(b, N - b) + 1)
-            assert whole[b - i, i - 1].tobytes() == d.tobytes()
-            whole[b - i, i - 1] = np.inf
-            assert whole.min() >= v[b], (b, whole.min() - v[b])
-            read.append(b)
-            return d
-
-        row.diagonal = checked
-        return row
-
-    monkeypatch.setattr(extremal, "_triple_rows", spy)
+    monkeypatch.setattr(extremal, "_symmetric", checked)
     if start is not None:
         monkeypatch.setattr(extremal, "sup_closed_form", lambda p, N: GridFunction(N, start))
     try:
@@ -434,6 +433,29 @@ def symmetric_reads(monkeypatch, p: float, N: int, tol: float = 1e-9, start: np.
     except ConvergenceError:
         pass
     return read
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 48, 255, 256, 257, 512])
+def test_symmetric_triples_are_the_rows_symmetric_entries(N):
+    rng = np.random.default_rng(N)
+    spread = (np.arange(N + 1) / N) ** 1.5
+    values = [rng.standard_normal(N + 1), rng.choice([1.7e308, -1.7e308], N + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in values:
+            row = _triple_rows(N, _chord(lambda den, lam: spread[den]), v)
+            for b in range(1, N):
+                i = np.arange(1, min(b, N - b) + 1)
+                got = extremal._symmetric(v, b, spread)
+                assert got.tobytes() == row(b)[b - i, i - 1].tobytes()  # the triples (b-i, b, b+i)
+    # a new array: later calls, v rewritten between them, leave a kept result as it was
+    v = values[0]
+    got = extremal._symmetric(v, N // 2, spread)
+    kept = got.copy()
+    v[:] = rng.standard_normal(N + 1)
+    extremal._symmetric(v, N // 2, spread)
+    extremal._symmetric(v, N - 1, spread)
+    assert got.tobytes() == kept.tobytes()
 
 
 class TestSymmetricRows:
@@ -473,6 +495,27 @@ class TestSymmetricRows:
         g = estimate_sup(p, N, stats=stats)  # the monkeypatched start
         assert g.floats().tobytes() == iterates[-1].tobytes() and stats["decreases"] == decreases
         assert stats["triples_read"][0] == sum(min(x, N - x) for x in range(1, N)) - b + b * (N - b)
+
+    @pytest.mark.parametrize("p, N, tol, kernels", [
+        (2, 97, 1e-9, 0), (2, 97, 1e-20, 0), (3, 97, 1e-9, 0), (3, 97, 1e-20, 0),
+        (1.999999, 97, 1e-9, 0), (1.999999, 160, 1e-9, 0), (1.999999, 255, 1e-9, 0),
+        (1, 160, 1e-9, 1), (1.9999, 97, 1e-9, 1), (1.9999, 160, 1e-9, 1), (1.9999, 255, 1e-9, 1)])
+    def test_the_kernel_is_made_once_and_only_when_read(self, monkeypatch, p, N, tol, kernels):
+        # the O(N**2) tables are built at the first sweep that reads a row
+        # whole or pushes, and kept: none when every sweep reads symmetric
+        # triples alone, one for a run whose sweeps mix the three reads
+        made = []
+
+        def spy(N, weights, v):
+            made.append(N)
+            return _triple_rows(N, weights, v)
+
+        monkeypatch.setattr(extremal, "_triple_rows", spy)
+        stats: dict = {}
+        estimate_sup(p, N, tol=tol, stats=stats)
+        assert len(made) == kernels
+        if kernels:
+            assert stats["iterations"] > 1
 
     @pytest.mark.parametrize("p", [527, 1023.5])
     def test_underflowing_scale_reads_whole_rows(self, monkeypatch, p):
@@ -584,6 +627,27 @@ class TestEstimateSup:
         g = estimate_sup(p, 8, stats=stats)
         assert stats["iterations"] == 1 and stats["converged"]
         assert np.all(g.floats() >= 0) and g[0] == g[8] == 0.0
+
+
+class TestExactSupAtP1:
+    # conftest.exact_sup_p1 bounds every member; the exact scan finding it a
+    # member makes it the sup, which estimate_sup must meet to rounding
+    @pytest.mark.parametrize("N", [16, 32, 64, 97])
+    def test_estimate_meets_the_exact_sup(self, N):
+        g = exact_sup_p1(N)
+        assert not check_almost_convex(GridFunction(N, g), 1, 1)
+        est = estimate_sup(1, N).floats()
+        exact = np.array([float(x) for x in g])
+        assert (np.abs(est - exact) <= 2 * np.spacing(exact)).all()
+        for b in range(1, N):  # g >= E, as g**k >= E**k = k**k * (d/N)**(k-1) on E's branch k
+            d = min(b, N - b)
+            k = reference_branch(Fraction(d, N))
+            assert g[b].numerator**k * N ** (k - 1) >= k**k * d ** (k - 1) * g[b].denominator**k
+        raised = list(g)
+        raised[N // 3] += Fraction(1, 10**30)
+        violations = check_almost_convex(GridFunction(N, raised), 1, 1)
+        assert len(violations) == 1 and violations[0].b == N // 3
+        assert violations[0].a == 0 or violations[0].c == N
 
 
 class TestClosedForm:

@@ -22,3 +22,9 @@ def test_masks_wall_ms_and_nothing_else():
     assert masked("p.csv", CSV.format(1, 1)) != masked("p.csv", CSV.format(1, 1).replace('"(1,0)', '"(1;0)'))
     assert masked("p.csv", CSV.format(1, 1)) != masked("p.csv", CSV.format(1, 1).replace("\r\n", "\n"))
     assert masked("r.json", JSON.format(1, 1)) != masked("r.json", JSON.format(1, 1).replace("2047", "2048"))
+
+
+def test_a_bad_rev_prints_one_error_line(capsys):
+    assert same_outputs.main(["no-such-rev-anywhere"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: git archive no-such-rev-anywhere src: ") and err.count("\n") == 1

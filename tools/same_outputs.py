@@ -8,7 +8,8 @@ tree's src/, each command in its own process.  Every JSON report, CSV and
 stdout (with stderr and the exit code) is compared byte for byte after
 masking wall_ms: the value of each JSON "wall_ms" key and every field of a
 CSV's wall_ms column.  It prints one `identical|DIFFERENT <file>` line per
-file, then a count, and exits 1 on any difference.
+file, then a count, and exits 1 on any difference; a <rev> that git cannot
+archive prints one `error:` line and exits 2.
 """
 
 from __future__ import annotations
@@ -64,9 +65,15 @@ def commands(tent: Path) -> dict[str, list[str]]:
     """name -> argv; {name} in an argument is the command's name."""
     out = ["--out", "{name}.json"]
     cmds = {}
-    for p in ("1", "1.5", "1.9", "2", "3"):
+    # 1.9999 mixes symmetric and whole-row reads, and pushes too at N = 512;
+    # 1.999999 reads symmetric triples alone at N = 160 and 255, and some
+    # rows whole at 512
+    for p in ("1", "1.5", "1.9", "1.9999", "1.999999", "2", "3"):
         for n in (160, 255, 512):
             cmds[f"sup-p{p}-n{n}"] = ["estimate-sup", "--p", p, "--n", str(n), "--csv", "{name}.csv", *out]
+    # 203 sweeps of symmetric reads, as rounding moves the iterate
+    cmds["sup-p2-n160-tol1e-20"] = ["estimate-sup", "--p", "2", "--n", "160", "--tol", "1e-20",
+                                    "--csv", "{name}.csv", *out]
     for klass in ("F0", "strong", "Fm:2", "Fm:5"):
         cmds[f"F-{klass.replace(':', '')}-256"] = ["check-class", "--fn", "builtin:F", "--class", klass, "--n", "256", *out]
     for n in (64, 96):
@@ -93,10 +100,14 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/same_outputs.py <rev>", file=sys.stderr)
         return 2
-    archive = subprocess.run(["git", "archive", argv[0], "src"], cwd=ROOT, capture_output=True, check=True).stdout
+    archive = subprocess.run(["git", "archive", argv[0], "src"], cwd=ROOT, capture_output=True)
+    if archive.returncode:
+        print(f"error: git archive {argv[0]} src: {' '.join(archive.stderr.decode(errors='replace').split())}",
+              file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp / "base", **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
         tent = tmp / "tent-float.csv"
         float_tent_csv(tent)
