@@ -173,6 +173,43 @@ def _symmetric(v: np.ndarray, b: int, spread: np.ndarray) -> np.ndarray:
     return _rhs(0.5, v[b - n : b][::-1], 0.5, v[b + 1 : b + 1 + n], spread[2 : 2 * n + 1 : 2])
 
 
+def _span_hulls(spread: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The span rule's bound, as two ascending arrays to search, and its peak.
+
+    With lower[den] = fl(spread[den] - den**2/N**2) - 2**-49 over the spans
+    den = 2..N and peak the index of its largest value, rise[t] is the least
+    lower over the spans 2+t..2+peak and fall[t] minus the least over
+    2+peak..2+peak+t: running minima outward from the peak, each at most
+    lower, the first rising with t and the second falling, so negated.
+    """
+    N = len(spread) - 1
+    den = np.arange(2, N + 1)
+    lower = spread[2:] - (den * den) / (N * N) - 2.0**-49
+    peak = int(lower.argmax())
+    return np.minimum.accumulate(lower[peak::-1])[::-1], -np.minimum.accumulate(lower[peak:]), peak
+
+
+def _span_windows(tau: np.ndarray, hulls: tuple, rows: np.ndarray) -> tuple[dict, int]:
+    """The windows of the rows b = rows[t] that the span rule lets skip the
+    spans [D1, D2] whose lower bound (_span_hulls) is at least tau[t], and
+    the triples they skip: b -> (far, near), each an (a0, a1, c0, c1) of
+    row.window, the far window a < N - D2, c > D2 and the near window
+    b - a, c - b <= D1 - 2 (None when empty).  A row whose two windows
+    overlap or hold as many triples as it does is left out, to be read
+    whole."""
+    rise, fall, peak = hulls
+    N = len(rise) + len(fall)
+    d1 = 2 + np.searchsorted(rise, tau)  # peak + 3 when no span's bound reaches tau
+    d2 = peak + 1 + np.searchsorted(fall, -tau, side="right")  # peak + 1 then
+    ra, rc = np.minimum(rows, d1 - 2), np.minimum(N - rows, d1 - 2)
+    fa, fc = np.minimum(rows, N - d2), N - np.maximum(rows, d2)
+    skipped = rows * (N - rows) - ra * rc - fa * fc
+    split = (skipped > 0) & ~((ra + fa > rows) & (rc + fc > N - rows))
+    windows = {b: ((0, x, N + 1 - y, N + 1), (b - r, b, b + 1, b + 1 + t) if r * t else None)
+               for b, r, t, x, y in zip(*(z[split].tolist() for z in (rows, ra, rc, fa, fc)))}
+    return windows, int(skipped[split].sum())
+
+
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration ran out of sweeps before the tolerance was met;
     `last` is the last iterate."""
@@ -209,27 +246,43 @@ def estimate_sup(
     the sweeps contract slowly.
 
     A sweep pulls or pushes.  A pull sweep reads each row whole, or only
-    its symmetric triples (b-i, b, b+i) (_symmetric) when no other triple
-    can lower it, by this rule.  Let cc = (2/N)**max(p-2, 0) and h =
-    cc*4x(1-x) at x = b/N.  A triple with offsets
-    i = b - a and j = c - b, span s = (i+j)/N and lam = j/(i+j) has h-gap
-    cc*4lam(1-lam)s**2 = cc*4ij/N**2 <= cc*s**2 <= s**p (s <= 1 = cc for
-    p <= 2, s >= 2/N for p >= 2, as in sup_closed_form), so h is a member,
-    and the triple's slack against h,
+    the part of it that can lower it, by two rules on one slack.  Let cc =
+    (2/N)**max(p-2, 0) and h = cc*4x(1-x) at x = b/N.  A triple with
+    offsets i = b - a and j = c - b, span den = i + j, s = den/N and lam =
+    j/den has h-gap cc*4lam(1-lam)s**2 = cc*4ij/N**2 <= cc*s**2 <= s**p
+    (s <= 1 = cc for p <= 2, s >= 2/N for p >= 2, as in sup_closed_form),
+    so h is a member, and the triple's slack against h splits, by 4ij =
+    den**2 - (i-j)**2, as
 
-        sigma(i, j) = s**p - cc*4ij/N**2 >= cc*(i-j)**2/N**2,
+        sigma(i, j) = s**p - cc*4ij/N**2 = phi(den) + cc*(i-j)**2/N**2,
+        phi(den) = s**p - cc*s**2 >= 0.
 
-    is at least cc/N**2 when i != j, whatever b.  A sweep from g >= h keeps
-    g >= h, since each rhs of g is at least that of h; so with E the largest
-    h[x] - g[x] when row b is read, every asymmetric entry is at least
-    h[b] + cc/N**2 - E, less rounding.  When g[b] lies below that, none is
-    below g[b], and the row's minimum, when below g[b], is the least
-    symmetric entry, the same float.  In a pull sweep, g[b] at row b's read
-    is its sweep-start value, so one comparison at the sweep start picks
-    the rows:
+    A sweep from g >= h keeps g >= h, since each rhs of g is at least that
+    of h; so with E the largest h[x] - g[x] when row b is read, an entry is
+    at least h[b] + sigma(i, j) - E, less rounding, and one whose slack
+    exceeds g[b] - h[b] + E is not below g[b]: the row's minimum, when
+    below g[b], is the least of the other entries, the same float.  In a
+    pull sweep, g[b] at row b's read is its sweep-start value, so the
+    comparisons below, made once at the sweep start, pick what each row
+    reads:
+    - the symmetric rule: when g - h < cc/N**2 - margin at b, no entry
+      with i != j is below g[b], and the row reads its symmetric triples
+      (b-i, b, b+i) alone (_symmetric);
+    - the span rule, for p < 2 (so cc = 1) at the other rows: no entry
+      whose span's phi is at least tau = g[b] - h[b] + margin is below
+      g[b].  phi = s**p - s**2 is 0 at s = 0 and 1 and has one peak
+      between, so the spans where the running minima of its lower bound
+      outward from the peak (_span_hulls) reach tau form one interval
+      [D1, D2], and the row reads only its two windows (_span_windows):
+      the near one, b - a <= D1 - 2 and c - b <= D1 - 2, which holds every
+      span below D1, and the far one, a < N - D2 and c > D2, which holds
+      every span above D2.  It reads them when they are disjoint and hold
+      fewer triples than the row, and the row whole otherwise.  A running
+      minimum is at most the bound it runs over, so the rule stays exact
+      however far the bound's floats stray from one peak.
+    Both use
 
-        g - h < cc/N**2 - margin,  margin = E0 + (N + 2)*r,
-        r = (p + 12)*u*cc + 2**-1070,  u = 2**-53,
+        margin = E0 + (N + 2)*r,  r = (p + 12)*u*cc + 2**-1070,  u = 2**-53,
 
     with E0 the largest h - g (or 0) at the sweep start.  The margin
     covers, with g <= cc*(1 + (p+4)u) (the start is) and every term
@@ -242,27 +295,38 @@ def estimate_sup(
       s**p >= cc*s**2, that error is charged to sigma at (p+2)u*cc;
     - the two products and two adds of the rhs: 3u relative, 3u*cc and
       3u*s**p, the latter charged as above.  So an entry's float is at least
-      h[b] + cc*(i-j)**2/N**2 - E - (p+11)u*cc;
+      h[b] + sigma(i, j) - E - (p+11)u*cc;
     - with i = j this is how far one update may land below h, the drift:
       updates chain within a sweep, so E at a read is at most E0 plus
       N - 2 such steps, plus the error of h's float, (p+5)u*cc from pow in
       cc and two roundings; E0 is measured anew each sweep, since the
       drift also accumulates across sweeps (at tol = 1e-20, p = 3 and
       N = 97 the iterate creeps down by ulps for tens of sweeps);
-    - the test g - h < ... reads h's float, and its subtraction and
-      threshold round: (p+8)u*cc in all;
+    - the symmetric test g - h < ... reads h's float, and its subtraction
+      and threshold round: (p+8)u*cc in all;
+    - the span test reads h's float too, and its own rounding is charged
+      to the bound: with s <= 1 and |phi| <= 1, phi's float fl(spread[den]
+      - den**2/N**2) misses phi by at most (p+2)u + u + u, the subtraction
+      of 2**-49 = 16u from it rounds by at most u, so the bound is below
+      phi - (11 - p)u, below phi - 9u for p < 2; tau's float, two
+      roundings at |g - h|, |tau| <= 1, is at least tau - 3u less the error
+      of h's float.  So bound >= tau's float gives phi >= tau + 6u, at
+      least as strong as the symmetric test with phi(den) for cc/N**2;
     - 2**-1070 bounds eight roundings' absolute error in the subnormal
       range, 2**-1074 each.
     The sum, E0 + ((N-2)(p+11) + 3p + 24)u*cc and N + 1 absolute terms, is
-    below the margin.  The rule applies only when cc/N**3 is a normal
-    float, so that h, the spreads and the products it bounds are normal
-    too; otherwise (at N = 8, p = 527 makes cc subnormal and
+    below the margin.  The symmetric rule applies only when cc/N**3 is a
+    normal float, so that h, the spreads and the products it bounds are
+    normal too; otherwise (at N = 8, p = 527 makes cc subnormal and
     p = 1023.5 makes it 0) every row is read whole.  At p >= 2 the start is
     h, every row qualifies and a sweep reads the sum over b of
     min(b, N-b), about N**2/4 triples.  At p < 2 the rows where g lies that
     close to h qualify: far below p = 2 only b = N/2 at even N, where the
     start meets the parabola, but within about 1e-4 of p = 2 most rows of
-    the later sweeps, and of every sweep within about 1e-6.
+    the later sweeps, and of every sweep within about 1e-6.  The span rule
+    takes the rest: at N = 255 the first two sweeps read 0.43 of the
+    triples at p = 1 and 0.63 at p = 1.5, but all of them near p = 2, where
+    phi is small everywhere.
 
     A push sweep keeps acc[b], the least new entry of row b so far, which
     grid._triple_rows' row.push lowers in place: at its start, each index
@@ -276,8 +340,9 @@ def estimate_sup(
     < g[b] exactly when the fresh row's minimum is, and then the two are
     the same float: each update is a full sweep's, bit for bit.  A sweep
     pushes when the pushes of the previous sweep's changes would read
-    fewer triples than a pull sweep; so the first sweep pulls, and usually
-    the second.
+    fewer triples than a pull sweep priced at its symmetric and whole-row
+    reads (the span windows, which would read fewer, are not counted); so
+    the first sweep pulls, and usually the second.
 
     Raises ValueError unless p and tol are positive and finite, N >= 2 and
     max_iters >= 1, and ConvergenceError (carrying the last iterate) if
@@ -288,8 +353,9 @@ def estimate_sup(
     `sweep_ms`, the per-sweep largest decreases `decreases`, the last of
     them `last_decrease`, and `converged`.  The triple tables
     (grid._triple_rows) are built at most once per call, at the first sweep
-    that reads a row whole or pushes: O(N^2) memory then, O(N) when no
-    sweep does.
+    that reads a row whole or by windows, or pushes: O(N^2) memory then,
+    O(N) when no sweep does; the span rule's hulls are O(N), built at most
+    once, at the first pull sweep with a row that is not symmetric.
     """
     if N < 2:
         raise ValueError(f"grid resolution must be >= 2, got {N}")
@@ -317,6 +383,7 @@ def estimate_sup(
     ruled = cc / N**3 >= np.finfo(float).tiny  # h, the spreads and their products are normal floats
     whole, symmetric = k * (N - k), np.minimum(k, N - k)  # row b's triples; its symmetric ones
 
+    hulls = None  # _span_hulls, made at the first pull sweep that reads a row that is not symmetric (p < 2)
     decreases = []
     sweep_ms = []
     triples_read = []
@@ -325,19 +392,36 @@ def estimate_sup(
         max_dec = 0.0
         start = perf_counter()
         margin = max(float((h - g).max()), 0.0) + (N + 2) * r
-        near = (g - h < cc / (N * N) - margin) & ruled  # the rows that read their symmetric triples alone
-        pull = int(np.where(near, symmetric, whole)[1:N].sum())
+        sym = (g - h < cc / (N * N) - margin) & ruled  # the rows that read their symmetric triples alone
+        pull = int(np.where(sym, symmetric, whole)[1:N].sum())
         pushing = lowered is not None and int(with_c[lowered].sum() + with_a[lowered].sum()) < pull
-        if row is None and (pushing or not near[1:N].all()):
+        if row is None and (pushing or not sym[1:N].all()):
             row = _triple_rows(N, _chord(lambda den, lam: spread[den]), g)
         if pushing:
             acc.fill(np.inf)
             for c in lowered:
                 row.push(acc, c=c)
+        windows = {}  # the rows a pull sweep reads by their two span windows (p < 2)
+        if not pushing and p < 2 and not sym[1:N].all():
+            if hulls is None:
+                hulls = _span_hulls(spread)
+            rows = np.flatnonzero(~sym[1:N]) + 1
+            windows, skipped = _span_windows((g - h + margin)[rows], hulls, rows)
+            pull -= skipped
         pushed, lowered = lowered, []
-        alone = near.tolist()
+        alone = sym.tolist()
         for b in range(1, N):
-            m = acc[b] if pushing else (_symmetric(g, b, spread) if alone[b] else row(b)).min()
+            if pushing:
+                m = acc[b]
+            elif alone[b]:
+                m = _symmetric(g, b, spread).min()
+            elif b in windows:
+                far, near = windows[b]
+                m = row.window(b, *far).min()
+                if near:
+                    m = min(m, row.window(b, *near).min())
+            else:
+                m = row(b).min()
             if m < g[b]:
                 max_dec = max(max_dec, g[b] - m)
                 g[b] = m

@@ -1,6 +1,8 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -312,71 +314,42 @@ class TestDirtySweeps:
 
     @pytest.mark.parametrize("p, N", [(1, 64), (1.5, 97), (1.9, 80)])
     def test_pushes_cover_every_changed_input(self, monkeypatch, p, N):
-        # A pull sweep reads every row, whole or, for the rows the rule
-        # picks, its symmetric triples alone: below p = 2 the row N/2 at
-        # even N, where the start meets the parabola.  In a push sweep,
+        # A pull sweep reads every row, in order: whole, its symmetric
+        # triples alone for the rows the symmetric rule picks (below p = 2
+        # the row N/2 at even N, where the start meets the parabola), or its
+        # span windows for the rows the span rule picks.  In a push sweep,
         # every value of g that changed since row b's visit in the previous
         # sweep (g[b] itself is no input of row b) must reach row b through
         # a push: a column push of c > b at the sweep start, or a row push of
         # a < b, each made with the new value in g.  The pushes are exactly
         # those of the changed values, so a push sweep reads no more than it
         # needs.
-        calls = []
+        calls = spy_reads(monkeypatch)
         symmetric_rows = {(1, 64): [32], (1.5, 97): [], (1.9, 80): [40]}[p, N]
-        symmetric = extremal._symmetric
-
-        def spy(N, weights, v):
-            row = _triple_rows(N, weights, v)
-
-            def row_spy(b):
-                rhs = row(b)
-                calls.append(("row", b, v.copy(), rhs.shape))
-                return rhs
-
-            def push_spy(least, **outer):
-                ((side, x),) = outer.items()
-                calls.append((side, x, v.copy(), None))
-                row.push(least, **outer)
-
-            row_spy.push = push_spy
-            return row_spy
-
-        def symmetric_spy(v, b, spread):
-            rhs = symmetric(v, b, spread)
-            calls.append(("symmetric", b, v.copy(), rhs.shape))
-            return rhs
-
-        monkeypatch.setattr(extremal, "_triple_rows", spy)
-        monkeypatch.setattr(extremal, "_symmetric", symmetric_spy)
         stats: dict = {}
         estimate_sup(p, N, stats=stats)
         iterates, _ = full_row_sweeps(p, N, 1e-9)
         G = [sup_start(p, N)] + iterates  # sweep k takes G[k] to G[k + 1]
-        # a sweep starts with row 1 (a pull) or with a column push after other calls (a push)
-        sweeps: list[list] = []
-        for call in calls:
-            pull_start = call[0] in ("row", "symmetric") and call[1] == 1
-            if pull_start or call[0] == "c" and (not sweeps or sweeps[-1][-1][0] != "c"):
-                sweeps.append([])
-            sweeps[-1].append(call)
+        sweeps = by_sweep(calls)
         assert len(sweeps) == stats["iterations"] == len(iterates)
-        pulls = pushes = 0
+        pulls = pushes = windowed = 0
         for k, sweep in enumerate(sweeps):
             before, after = G[k], G[k + 1]
-            if sweep[0][0] in ("row", "symmetric"):
+            if sweep[0][0] != "c":
                 pulls += 1
-                assert [call[:2] for call in sweep] == [
-                    ("symmetric" if b in symmetric_rows else "row", b) for b in range(1, N)]
-                assert [shape for *_, shape in sweep] == [
-                    (min(b, N - b),) if b in symmetric_rows else (b, N - b) for b in range(1, N)]
-                for _, b, v, _ in sweep:
+                reads = pull_reads(sweep, N)
+                assert [b for b, _ in reads] == list(range(1, N))
+                assert [b for b, kinds in reads if kinds == ["symmetric"]] == symmetric_rows
+                windowed += sum(kinds[0] == "window" for _, kinds in reads)
+                assert sum(size for *_, size in sweep) == stats["triples_read"][k]
+                for _, b, v, _, _ in sweep:
                     assert v.tobytes() == np.concatenate([after[:b], before[b:]]).tobytes()
                 continue
             pushes += 1
-            cols = [x for side, x, _, _ in sweep if side == "c"]
-            rows = [x for side, x, _, _ in sweep if side == "a"]
+            cols = [x for side, x, *_ in sweep if side == "c"]
+            rows = [x for side, x, *_ in sweep if side == "a"]
             assert [side for side, *_ in sweep] == ["c"] * len(cols) + ["a"] * len(rows)
-            for side, x, v, _ in sweep:
+            for side, x, v, _, _ in sweep:
                 now = before if side == "c" else np.concatenate([after[: x + 1], before[x + 1 :]])
                 assert v.tobytes() == now.tobytes()
             for b in range(1, N):
@@ -386,53 +359,194 @@ class TestDirtySweeps:
                 assert changed <= reached, (k, b, changed - reached)
             assert cols == np.flatnonzero(before != G[k - 1]).tolist()
             assert rows == np.flatnonzero(after != before).tolist()
-        assert sweeps[0][0][0] == "row" and pulls >= 2 and pushes >= 2
+        assert sweeps[0][0][0] != "c" and pulls >= 2 and pushes >= 2 and windowed > 0
 
     @pytest.mark.parametrize("p, N", [(1, 128), (1.5, 64), (2, 32)])
-    def test_triples_read(self, p, N):
+    def test_triples_read(self, monkeypatch, p, N):
+        calls = spy_reads(monkeypatch)
         stats: dict = {}
         estimate_sup(p, N, stats=stats)
         read = stats["triples_read"]
-        assert len(read) == stats["iterations"]
+        sweeps = by_sweep(calls)
+        assert len(read) == stats["iterations"] == len(sweeps)
+        # a pull sweep counts the entries it evaluates, whatever reads it makes
+        for k, sweep in enumerate(sweeps):
+            if sweep[0][0] != "c":
+                pull_reads(sweep, N)
+                assert read[k] == sum(size for *_, size in sweep)
         # at p = 2 every row reads its symmetric triples alone; below, the
-        # row N/2 of an even N does, where the start meets the parabola
+        # row N/2 of an even N does, where the start meets the parabola, and
+        # the span rule leaves out more: the first two (pull) sweeps read
+        # 0.43 and 0.42 of the triples at p = 1, 0.62 and 0.61 at p = 1.5,
+        # not the stats["triples"] - (N/2)**2 + N/2 of whole rows
         if p == 2:
             assert read[0] == sum(min(b, N - b) for b in range(1, N))
-        else:
-            assert read[0] == stats["triples"] - (N // 2) ** 2 + N // 2
+        assert read == {(1, 128): [150372, 148091, 31472, 8011, 0],
+                        (1.5, 64): [27298, 26822, 9359, 2818, 0],
+                        (2, 32): [256]}[p, N]
         assert all(type(r) is int and 0 <= r <= stats["triples"] for r in read)
         if p == 1:
             assert sum(read) < stats["iterations"] * stats["triples"] / 2
 
 
-def symmetric_reads(monkeypatch, p: float, N: int, tol: float = 1e-9, start: np.ndarray | None = None) -> list[int]:
-    """Run estimate_sup and return the rows it read by their symmetric
-    triples alone, checking at each such read that the whole row(b) holds
-    those entries, bit for bit, and no other entry below g[b]."""
-    read: list[int] = []
-    kernel: list = []  # [v, a kernel of its own over the run's g = v], to read row(b) whole
+def spy_reads(monkeypatch) -> list:
+    """Record estimate_sup's reads, in the list returned: (kind, index, v at
+    the call, extent, entries) for each row(b), _symmetric, row.window and
+    row.push call, kind "row", "symmetric", "window", "a" or "c" (a push),
+    extent the result's shape, or a window's (a0, a1, c0, c1), and "tick"
+    for each perf_counter call, which estimate_sup makes at the start and
+    the end of every sweep.  Each result's shape is checked."""
+    calls: list = []
     symmetric = extremal._symmetric
+
+    def spy(N, weights, v):
+        row = _triple_rows(N, weights, v)
+
+        def row_spy(b):
+            rhs = row(b)
+            assert rhs.shape == (b, N - b)
+            calls.append(("row", b, v.copy(), rhs.shape, rhs.size))
+            return rhs
+
+        def window_spy(b, a0, a1, c0, c1):
+            rhs = row.window(b, a0, a1, c0, c1)
+            assert rhs.shape == (a1 - a0, c1 - c0)
+            calls.append(("window", b, v.copy(), (a0, a1, c0, c1), rhs.size))
+            return rhs
+
+        def push_spy(least, **outer):
+            ((side, x),) = outer.items()
+            calls.append((side, x, v.copy(), None, None))
+            row.push(least, **outer)
+
+        row_spy.window = window_spy
+        row_spy.push = push_spy
+        return row_spy
+
+    def symmetric_spy(v, b, spread):
+        rhs = symmetric(v, b, spread)
+        assert rhs.shape == (min(b, len(v) - 1 - b),)
+        calls.append(("symmetric", b, v.copy(), rhs.shape, rhs.size))
+        return rhs
+
+    def clock():
+        calls.append("tick")
+        return perf_counter()
+
+    monkeypatch.setattr(extremal, "_triple_rows", spy)
+    monkeypatch.setattr(extremal, "_symmetric", symmetric_spy)
+    monkeypatch.setattr(extremal, "perf_counter", clock)
+    return calls
+
+
+def by_sweep(calls: list) -> list[list[tuple]]:
+    """spy_reads' calls split into sweeps at the ticks."""
+    assert len(calls) and calls[0] == "tick"
+    sweeps: list[list[tuple]] = []
+    inside = False
+    for call in calls:
+        if call == "tick":
+            inside = not inside
+            if inside:
+                sweeps.append([])
+        else:
+            assert inside
+            sweeps[-1].append(call)
+    assert not inside
+    return sweeps
+
+
+def pull_reads(sweep: list[tuple], N: int) -> list[tuple[int, list[str]]]:
+    """[(b, kinds)] for a pull sweep's rows, in read order, checking that each
+    reads whole, its symmetric triples or its span windows: the far window
+    (0, x, N+1-y, N+1) and, when not empty, the near window (b-r, b, b+1,
+    b+1+t), disjoint and together smaller than the row."""
+    reads = []
+    for b, group in itertools.groupby(sweep, key=lambda call: call[1]):
+        group = list(group)
+        kinds = [kind for kind, *_ in group]
+        reads.append((b, kinds))
+        if kinds in (["row"], ["symmetric"]):
+            continue
+        assert kinds in (["window"], ["window", "window"]), (b, kinds)
+        a0, x, c0, c1 = group[0][3]
+        y = c1 - c0
+        assert a0 == 0 and c1 == N + 1 and 0 < x <= b and 0 < y <= N - b
+        r = t = 0
+        if len(group) == 2:
+            a0, a1, c0, c1 = group[1][3]
+            r, t = a1 - a0, c1 - c0
+            assert (a1, c0) == (b, b + 1) and 0 < r <= b and 0 < t <= N - b
+            assert not (x > b - r and y > N - b - t)
+        assert x * y + r * t < b * (N - b)
+    return reads
+
+
+def rule_reads(monkeypatch, p: float, N: int, tol: float = 1e-9,
+               start: np.ndarray | None = None) -> tuple[list[int], list[int]]:
+    """Run estimate_sup and return the rows it read by a rule, in read order:
+    by their symmetric triples alone, and by their span windows.  At each
+    such read it evaluates the whole row(b) through a kernel of its own over
+    the run's g and checks that the entries read are that row's, bit for
+    bit, and that no other entry lies below g[b]."""
+    symmetric_rows: list[int] = []
+    window_rows: list[int] = []
+    spread = (np.arange(N + 1) / N) ** p
+    kernel: list = []  # [v, a kernel of its own over the run's g = v], to read row(b) whole
+    opened: list = []  # the row whose windows are being read: [b, g[b], row(b), row(b) with them set to +inf]
+    symmetric = extremal._symmetric
+
+    def whole(v, b):
+        if not kernel or kernel[0] is not v:
+            kernel[:] = v, _triple_rows(N, _chord(lambda den, lam: spread[den]), v)
+        return kernel[1](b).copy()
+
+    def close():
+        if opened:
+            b, gb, _, rest = opened
+            assert rest.min() >= gb, (b, rest.min() - gb)
+            opened.clear()
 
     def checked(v, b, spread):
         d = symmetric(v, b, spread)
-        if not kernel or kernel[0] is not v:
-            kernel[:] = v, _triple_rows(N, _chord(lambda den, lam: spread[den]), v)
-        whole = kernel[1](b).copy()
+        rest = whole(v, b)
         i = np.arange(1, min(b, N - b) + 1)
-        assert whole[b - i, i - 1].tobytes() == d.tobytes()
-        whole[b - i, i - 1] = np.inf
-        assert whole.min() >= v[b], (b, whole.min() - v[b])
-        read.append(b)
+        assert rest[b - i, i - 1].tobytes() == d.tobytes()
+        rest[b - i, i - 1] = np.inf
+        assert rest.min() >= v[b], (b, rest.min() - v[b])
+        symmetric_rows.append(b)
         return d
 
+    def spy(N, weights, v):
+        row = _triple_rows(N, weights, v)
+        window = row.window
+
+        def checked_window(b, a0, a1, c0, c1):
+            got = window(b, a0, a1, c0, c1)
+            if a0 == 0 and c1 == N + 1:  # the far window, a row's first
+                close()
+                rest = whole(v, b)
+                opened[:] = b, v[b], rest, rest.copy()
+                window_rows.append(b)
+            assert opened[0] == b
+            sl = np.s_[a0:a1, c0 - b - 1 : c1 - b - 1]
+            assert got.tobytes() == opened[2][sl].tobytes()
+            opened[3][sl] = np.inf
+            return got
+
+        row.window = checked_window
+        return row
+
     monkeypatch.setattr(extremal, "_symmetric", checked)
+    monkeypatch.setattr(extremal, "_triple_rows", spy)
     if start is not None:
         monkeypatch.setattr(extremal, "sup_closed_form", lambda p, N: GridFunction(N, start))
     try:
         estimate_sup(p, N, tol=tol)
     except ConvergenceError:
         pass
-    return read
+    close()
+    return symmetric_rows, window_rows
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 48, 255, 256, 257, 512])
@@ -465,7 +579,7 @@ class TestSymmetricRows:
     @pytest.mark.parametrize("p, N, tol", [(1, 48, 1e-9), (1, 160, 1e-9), (2, 97, 1e-9), (2, 160, 1e-20),
                                            (2.5, 64, 1e-20), (7, 97, 1e-9), (100, 48, 1e-9), (3, 97, 1e-20)])
     def test_no_other_entry_lies_below_g(self, monkeypatch, p, N, tol):
-        read = symmetric_reads(monkeypatch, p, N, tol)
+        read, _ = rule_reads(monkeypatch, p, N, tol)
         if p < 2:  # the row where the start meets the parabola, once per pull sweep
             assert set(read) == {N // 2}
         else:
@@ -488,8 +602,8 @@ class TestSymmetricRows:
         N, b = 64, 20
         start = closed_form(p, N)
         start[b] += 2 * (2 / N) ** (p - 2) / N**2
-        read = symmetric_reads(monkeypatch, p, N, start=start)
-        assert read[: N - 2] == [x for x in range(1, N) if x != b]
+        read, windows = rule_reads(monkeypatch, p, N, start=start)
+        assert read[: N - 2] == [x for x in range(1, N) if x != b] and windows == []
         iterates, decreases = full_row_sweeps(p, N, 1e-9, start=start)
         stats: dict = {}
         g = estimate_sup(p, N, stats=stats)  # the monkeypatched start
@@ -522,12 +636,58 @@ class TestSymmetricRows:
         # cc = (1/4)**(p-2) is subnormal at p = 527 and 0 at p = 1023.5
         N = 8
         assert (2 / N) ** (p - 2) < np.finfo(float).tiny
-        assert symmetric_reads(monkeypatch, p, N) == []
+        assert rule_reads(monkeypatch, p, N) == ([], [])
         stats: dict = {}
         g = estimate_sup(p, N, stats=stats)
         iterates, decreases = full_row_sweeps(p, N, 1e-9)
         assert g.floats().tobytes() == iterates[-1].tobytes() and stats["decreases"] == decreases
         assert stats["triples_read"] == [stats["triples"]] * stats["iterations"]
+
+
+class TestSpanWindows:
+    # Below p = 2 the slack against h = 4x(1-x) is at least phi(den) =
+    # s**p - s**2 at span den = c - a, so a row reads only the windows that
+    # hold the spans whose lower bound of phi is below tau = g[b] - h[b] +
+    # margin
+    @pytest.mark.parametrize("p, N, tol", [(p, N, 1e-9) for p in (0.25, 0.5, 1, 1.25, 1.5, 1.9, 1.9999)
+                                           for N in (2, 3, 5, 48, 97, 160, 255)] + [(1.5, 255, 1e-15)])
+    def test_no_entry_outside_the_windows_lies_below_g(self, monkeypatch, p, N, tol):
+        _, windows = rule_reads(monkeypatch, p, N, tol)
+        # at p = 1.9999, phi is below 2e-5 everywhere and few rows use it
+        assert windows or N < 48 or p > 1.9
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1.25])
+    @pytest.mark.parametrize("N", [48, 160, 255])
+    def test_match_full_row_sweeps_bit_for_bit(self, p, N):
+        assert_full_row_sweeps(p, N, 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_span_windows_leave_out_only_spans_whose_bound_reaches_tau(seed):
+    # for any spread with spread[N] = 1, not only s**p: a row that reads its
+    # windows leaves out exactly the triples outside them, and each has a
+    # span whose lower bound of phi is at least the row's tau > 0; bumps on
+    # s**p give the bound several peaks, which the hulls must not skip over
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(8, 120))
+    den = np.arange(N + 1)
+    spread = (den / N) ** rng.uniform(0.1, 2)
+    spread[2:N] += rng.uniform(0, 0.05, N - 2) * (rng.random(N - 2) < seed / 12)
+    lower = spread - (den * den) / (N * N) - 2.0**-49
+    rows = np.arange(1, N)
+    tau = rng.uniform(2.0**-40, lower.max(), N - 1)
+    windows, skipped = extremal._span_windows(tau, extremal._span_hulls(spread), rows)
+    left_out = 0
+    for b, t in zip(rows.tolist(), tau.tolist()):
+        if b not in windows:
+            continue
+        read = np.zeros((b, N - b), dtype=int)
+        for a0, a1, c0, c1 in filter(None, windows[b]):
+            read[a0:a1, c0 - b - 1 : c1 - b - 1] += 1
+        a, c = np.nonzero(read == 0)
+        assert read.max() == 1 and (lower[c + b + 1 - a] >= t).all(), b
+        left_out += len(a)
+    assert windows and skipped == left_out > 0
 
 
 class TestEstimateSup:

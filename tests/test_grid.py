@@ -142,6 +142,27 @@ def test_triple_rows_match_per_row_construction(N):
             assert got.dtype == F.dtype and got.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("N", [2, 3, 24, 257])
+def test_triple_windows_are_parts_of_rows(N):
+    # every rectangle of a row, from one entry to the whole row, float and
+    # int64, with v rewritten between the calls
+    rng = np.random.default_rng(N)
+    spread = (np.arange(N + 1) / N) ** 1.5
+    F = rng.integers(-2**20, 2**20, N + 1)
+    for weights, v in [(_chord(lambda den, lam: spread[den]), rng.standard_normal(N + 1)),
+                       (integer_weights(N, np.array(12345)), F)]:
+        row = _triple_rows(N, weights, v)
+        for b in sorted({1, N // 2, N - 1, *rng.integers(1, N, 4).tolist()}):
+            for _ in range(6):
+                a0, a1 = sorted(rng.choice(b + 1, 2, replace=False).tolist())
+                c0, c1 = sorted(rng.choice(np.arange(b + 1, N + 2), 2, replace=False).tolist())
+                for rect in [(a0, a1, c0, c1), (0, b, b + 1, N + 1), (b - 1, b, N, N + 1)]:
+                    got = row.window(b, *rect).copy()
+                    want = row(b)[rect[0] : rect[1], rect[2] - b - 1 : rect[3] - b - 1]
+                    assert got.dtype == v.dtype and got.tobytes() == want.tobytes()
+                v[:] = rng.permutation(v)
+
+
 def block_fits(N, b0, b1):
     """A block of rows b0..b1-1 fits: its K*(b1-1)*(N-b0) entries are within _BLOCK_TRIPLES."""
     return (b1 - b0) * (b1 - 1) * (N - b0) <= _BLOCK_TRIPLES
@@ -250,6 +271,7 @@ def test_only_row_results_are_overwritten():
     row.push(np.full(N + 1, np.inf), a=1)
     row.push(np.full(N + 1, np.inf), c=N)
     row(4)
+    row.window(5, 1, 3, 7, 9)
     assert block.tobytes() == kept.tobytes()
 
 

@@ -65,15 +65,19 @@ def commands(tent: Path) -> dict[str, list[str]]:
     """name -> argv; {name} in an argument is the command's name."""
     out = ["--out", "{name}.json"]
     cmds = {}
-    # 1.9999 mixes symmetric and whole-row reads, and pushes too at N = 512;
-    # 1.999999 reads symmetric triples alone at N = 160 and 255, and some
-    # rows whole at 512
-    for p in ("1", "1.5", "1.9", "1.9999", "1.999999", "2", "3"):
-        for n in (160, 255, 512):
-            cmds[f"sup-p{p}-n{n}"] = ["estimate-sup", "--p", p, "--n", str(n), "--csv", "{name}.csv", *out]
-    # 203 sweeps of symmetric reads, as rounding moves the iterate
-    cmds["sup-p2-n160-tol1e-20"] = ["estimate-sup", "--p", "2", "--n", "160", "--tol", "1e-20",
-                                    "--csv", "{name}.csv", *out]
+    # below p = 2 the pull sweeps read most rows by their span windows: 0.5
+    # below p = 1, and 1.25 between 1 and 1.5; 1.9999 mixes symmetric, window
+    # and whole-row reads, and pushes too at N = 512; 1.999999 reads
+    # symmetric triples alone at N = 160 and 255, and some rows whole at 512
+    sup = [(p, n) for p in ("1", "1.5", "1.9", "1.9999", "1.999999", "2", "3") for n in (160, 255, 512)]
+    for p, n in sup + [(p, n) for p in ("0.5", "1.25") for n in (160, 255)]:
+        cmds[f"sup-p{p}-n{n}"] = ["estimate-sup", "--p", p, "--n", str(n), "--csv", "{name}.csv", *out]
+    # 203 sweeps of symmetric reads, as rounding moves the iterate; and span
+    # windows at a tol near rounding, where p = 1.5 still stops, as at 1e-9,
+    # at its seventh sweep, which moves no value
+    for p, n, tol in (("2", "160", "1e-20"), ("1.5", "255", "1e-15")):
+        cmds[f"sup-p{p}-n{n}-tol{tol}"] = ["estimate-sup", "--p", p, "--n", n, "--tol", tol,
+                                           "--csv", "{name}.csv", *out]
     for klass in ("F0", "strong", "Fm:2", "Fm:5"):
         cmds[f"F-{klass.replace(':', '')}-256"] = ["check-class", "--fn", "builtin:F", "--class", klass, "--n", "256", *out]
     for n in (64, 96):
