@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from fractions import Fraction
 from pathlib import Path
@@ -301,6 +302,33 @@ def _awkward_path(tmp_path):
     return str(path), "F0", [], check_almost_convex_anchored(f)
 
 
+def _boundary_records(kind: str, n: int) -> ViolationList:
+    """n records of one kind with every awkward value in every float column on
+    both sides of every chunk boundary, and one value in the first record that
+    recurs only in the last."""
+    K = cli._CHUNK
+    nan, inf = float("nan"), float("inf")
+    if kind == "exact":
+        big, tiny, third = Fraction(10**400), Fraction(1, 10**400), Fraction(1, 3)
+        odd = [big, -big, tiny, -tiny, Fraction(0), third, third + Fraction(1, 10**30)]
+        plain, shared = (lambda i: Fraction(i, 7)), Fraction(5, 2)
+    else:
+        # distinct NaN objects, a negative NaN, both zeros and infinities, the least subnormal
+        odd = [0.0, -0.0, float("nan"), -nan, float("nan"), inf, -inf, 5e-324, -5e-324]
+        plain, shared = (lambda i: i / 7), 2.5
+
+    def fields(i: int, width: int) -> list:
+        if i in (0, n - 1):
+            return [shared, *(odd[(i + k) % len(odd)] for k in range(1, width))]
+        if min(i % K, K - 1 - i % K) < len(odd):  # every odd value, in every column, each side
+            return [odd[(i + k) % len(odd)] for k in range(width)]
+        return [plain(i), plain(2 * i + 1), plain(-i)][:width]
+
+    if kind == "tuples":
+        return ViolationList(TupleViolation((i, i + 1, i + 3), *fields(i, 2)) for i in range(n))
+    return ViolationList(Violation(i, i + 1, i + 2, *fields(i, 3)) for i in range(n))
+
+
 class TestReportBytes:
     """check-class --out writes exactly json.dumps(payload, indent=2) + "\\n"."""
 
@@ -372,6 +400,29 @@ class TestReportBytes:
             cli._write_json(str(path), {"schema_version": 1, "violations": violations, "max_slack": nan})
             oracle = {"schema_version": 1, "violations": [record_dict(v) for v in violations], "max_slack": nan}
             assert path.read_text() == json.dumps(oracle, indent=2) + "\n"
+
+    @pytest.mark.parametrize("kind", ["float", "exact", "tuples"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli._CHUNK + 1])
+    def test_chunk_boundaries(self, tmp_path, kind, extra):
+        violations = _boundary_records(kind, cli._CHUNK + extra)
+        path = tmp_path / "r.json"
+        cli._write_json(str(path), {"schema_version": 1, "violations": violations, "max_slack": -0.0})
+        oracle = {"schema_version": 1, "violations": [record_dict(v) for v in violations], "max_slack": -0.0}
+        assert path.read_text() == json.dumps(oracle, indent=2) + "\n"
+
+    def test_writer_holds_less_than_its_report(self, tmp_path):
+        violations = check_almost_convex_anchored(make_tent(Fraction(1, 2), 1.125, 160))
+        assert len(violations) >= 20_000 and isinstance(violations[0].rhs, float)
+        path = tmp_path / "r.json"
+        payload = {"schema_version": 1, "violations": violations, "max_slack": violations.max_slack}
+        # the records are made before tracing starts, so the peak is the writer's own
+        tracemalloc.start()
+        try:
+            cli._write_json(str(path), payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 def test_rows_csv_is_dict_writers(tmp_path):

@@ -18,20 +18,28 @@ those minima the four per-layer rates:
                                     sum(stats["triples_read"]), with the
                                     sweep count and the sum itself
 
-and, end to end, verify_catalog(load_catalog()) of the built-in catalog.
-Nothing is patched: counts come from the results and their stats.  Time
-the trees to be compared one after another, in alternating order, unpacked
-at paths of equal length, since a shared host's speed drifts over minutes.
+and, end to end, verify_catalog(load_catalog()) of the built-in catalog and
+`check-class --class F0 --out` of same_outputs.py's float tent through
+cli.main, with the report's records and bytes and the tracemalloc peak of
+one more, untimed, run.  Nothing is patched: counts come from the results,
+their stats and the report.  Time the trees to be compared one after
+another, in alternating order, unpacked at paths of equal length, since a
+shared host's speed drifts over minutes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -39,11 +47,16 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = 5
 
+_spec = importlib.util.spec_from_file_location("same_outputs", Path(__file__).with_name("same_outputs.py"))
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
 INPUTS = {
     "kernel": ["Z4xZ7", "Z2xZ2xZ7"],
     "float_scan": [256, 512],
     "exact_scan": [128, 256, 512],
     "sup": [(1.0, 255), (1.5, 255), (1.0, 512), (1.5, 512), (1.9, 512)],
+    "report": 160,
 }
 
 
@@ -109,6 +122,24 @@ def catalog(rc, runs: int) -> dict:
     return {"input": "verify_catalog(load_catalog())", **t, "reports": len(reports)}
 
 
+def report(rc, N: int, runs: int) -> dict:
+    cli = importlib.import_module(f"{rc.__name__}.cli")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        tent, out = Path(tmp) / "tent.csv", Path(tmp) / "r.json"
+        same_outputs.float_tent_csv(tent, N)
+        argv = ["check-class", "--fn", str(tent), "--class", "F0", "--out", str(out)]
+        t, _ = timed(lambda: cli.main(argv), runs)
+        tracemalloc.start()
+        try:
+            cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return {"input": f"check-class --fn <float tent, N = {N}> --class F0 --out", **t,
+                "records": len(json.loads(out.read_text())["violations"]), "report_bytes": out.stat().st_size,
+                "tracemalloc_peak_bytes": peak}
+
+
 def bench(rc, runs: int, inputs: dict = INPUTS) -> dict:
     """The layers' and the end-to-end measurements of the package rc."""
     return {
@@ -118,7 +149,7 @@ def bench(rc, runs: int, inputs: dict = INPUTS) -> dict:
             "exact_scan": exact_scan(rc, inputs["exact_scan"], runs),
             "sup": sup(rc, inputs["sup"], runs),
         },
-        "end_to_end": {"verify_catalog": catalog(rc, runs)},
+        "end_to_end": {"verify_catalog": catalog(rc, runs), "report": report(rc, inputs["report"], runs)},
     }
 
 

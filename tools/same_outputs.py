@@ -50,19 +50,21 @@ def masked(name: str, text: str) -> str:
     return "".join(out)
 
 
-def float_tent_csv(path: Path) -> None:
+def float_tent_csv(path: Path, N: int = 160) -> None:
     """A float tent above the parabola, apex (1/2, 1.125): 25,256 F0 violations at N = 160.
 
     Written here rather than by either tree's write_csv, so both trees read the same bytes.
     """
-    N = 160
     x = np.arange(N + 1) / N
     v = np.where(x <= 0.5, 1.125 * x / 0.5, 1.125 * (1.0 - x) / 0.5)
     path.write_bytes(b"i,x,value\r\n" + "".join(f"{i},{i}/{N},{y!r}\r\n" for i, y in enumerate(v.tolist())).encode())
 
 
 def commands(tent: Path) -> dict[str, list[str]]:
-    """name -> argv; {name} in an argument is the command's name."""
+    """name -> argv; {name} in an argument is the command's name.
+
+    42 commands, whose reports and CSVs with their stdouts make 111 files.
+    """
     out = ["--out", "{name}.json"]
     cmds = {}
     # below p = 2 the pull sweeps read most rows by their span windows: 0.5
@@ -84,7 +86,11 @@ def commands(tent: Path) -> dict[str, list[str]]:
         for klass in ("F", "F0", "strong"):
             cmds[f"tent-exact-{klass}-{n}"] = ["check-class", "--fn", "builtin:tent:1/4,4/5", "--class", klass,
                                                "--n", str(n), *out]
+    # reports of many writer chunks, one per record kind: 25,256 float
+    # Violations, 8,211 exact (Fraction) ones and 5,760 TupleViolations
     cmds["tent-float-F0"] = ["check-class", "--fn", str(tent), "--class", "F0", *out]
+    cmds["tent-exact-F0-256"] = ["check-class", "--fn", "builtin:tent:1/4,4/5", "--class", "F0", "--n", "256", *out]
+    cmds["tent-Fm2-480"] = ["check-class", "--fn", "builtin:tent:1/2,9/8", "--class", "Fm:2", "--n", "480", *out]
     cmds["verify-catalog"] = ["verify-catalog", "--out", "{name}.csv"]
     cmds["profile-csv"] = ["profile", "--group", "Z2xZ6", "--s", "basis", "--format", "csv", "--out", "{name}.csv"]
     return cmds
