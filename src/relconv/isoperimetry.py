@@ -15,7 +15,7 @@ One bit-parallel kernel serves Cayley digraphs and explicit arc lists.  A
 digraph is split into layers, maps in which every vertex has at most one
 outgoing arc: a Cayley element e is the total map x -> x + e, and an arc
 list puts the k-th arc leaving each vertex into layer k.  Subsets are
-uint64 bitmasks enumerated in blocks of 2^16, so memory stays flat.  For
+uint32 bitmasks enumerated in blocks of 2^16, so memory stays flat.  For
 each layer f the preimage P(A) = f^-1(A) is the OR of a lookup table over
 the low 16 mask bits and a per-block constant for the rest, and A loses
 popcount(A & dom f & ~P(A)) arcs to the outside.  The per-cardinality
@@ -115,12 +115,12 @@ class ProfileReport:
         }
 
 
-_BLOCK_BITS = 16  # blocks of 2^16 masks: 512 KiB per uint64 array
+_BLOCK_BITS = 16  # blocks of 2^16 masks: 256 KiB per uint32 array
 
 
 def _or_table(bits: np.ndarray) -> np.ndarray:
     """table[:, x] = OR of bits[:, p] over the set bits p of x, built by doubling."""
-    table = np.zeros((bits.shape[0], 1 << bits.shape[1]), dtype=np.uint64)
+    table = np.zeros((bits.shape[0], 1 << bits.shape[1]), dtype=np.uint32)
     for p in range(bits.shape[1]):
         np.bitwise_or(table[:, : 1 << p], bits[:, p, None], out=table[:, 1 << p : 2 << p])
     return table
@@ -129,7 +129,7 @@ def _or_table(bits: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=_BLOCK_BITS + 1)
 def _low_parts(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All w-bit masks sorted by popcount, the sorting order, and each popcount's first index."""
-    low = np.arange(1 << w, dtype=np.uint64)
+    low = np.arange(1 << w, dtype=np.uint32)
     by_size = np.argsort(np.bitwise_count(low), kind="stable")
     low = low[by_size]
     starts = np.searchsorted(np.bitwise_count(low), np.arange(w + 1))
@@ -146,10 +146,14 @@ def _subset_minima(order: int, layers: Iterable[tuple[Sequence, Sequence]], iden
     the sets that contain vertex 0 are enumerated, and cardinality 0 is
     (0, 0).  Past ORDER_CAP vertices it raises ValueError before reading layers.
 
-    Masks hold vertex v at bit order-1-v, so that among sets of one size the
-    lex-first sorted tuple, which owns the lowest differing vertex, is the
-    largest mask.  Each mask is keyed (boundary << order) | ~mask, and the
-    smallest key per cardinality is the minimum with its lex-first witness.
+    Masks are uint32 and hold vertex v at bit order-1-v, so that among sets
+    of one size the lex-first sorted tuple, which owns the lowest differing
+    vertex, is the largest mask.  A mask's boundary is summed from
+    bitwise_count's uint8 counts in the narrowest unsigned type that holds
+    the arc count (uint8 up to 255 arcs).  Each mask is keyed
+    (boundary << order) | ~mask, in uint32 when order plus the arc count's
+    bit length is at most 32 and in uint64 otherwise, and the smallest key
+    per cardinality is the minimum with its lex-first witness.
     """
     if order > ORDER_CAP:
         raise ValueError(f"order {order} exceeds exhaustive-search cap {ORDER_CAP}")
@@ -157,12 +161,14 @@ def _subset_minima(order: int, layers: Iterable[tuple[Sequence, Sequence]], iden
     arcs = sum(len(src) for src, _ in layers)
     if order + arcs.bit_length() > 64:
         raise ValueError(f"{order} vertices and {arcs} arcs exceed the 64-bit search keys")
+    count_type = np.min_scalar_type(arcs)
+    key_type = np.uint32 if order + arcs.bit_length() <= 32 else np.uint64
     full = (1 << order) - 1
     # pre[l, p]: the vertices whose layer-l image sits at bit p
-    pre = np.zeros((len(layers), order), dtype=np.uint64)
-    off_domain = np.full((len(layers), 1), full, dtype=np.uint64)
+    pre = np.zeros((len(layers), order), dtype=np.uint32)
+    off_domain = np.full((len(layers), 1), full, dtype=np.uint32)
     for i, (src, dst) in enumerate(layers):
-        src_bits = np.uint64(1) << (order - 1 - np.asarray(src)).astype(np.uint64)
+        src_bits = np.uint32(1) << (order - 1 - np.asarray(src)).astype(np.uint32)
         np.bitwise_or.at(pre[i], order - 1 - np.asarray(dst), src_bits)
         off_domain[i] &= ~np.bitwise_or.reduce(src_bits)
 
@@ -175,24 +181,25 @@ def _subset_minima(order: int, layers: Iterable[tuple[Sequence, Sequence]], iden
     w = min(free, _BLOCK_BITS)
     low, by_size, starts = _low_parts(w)
     not_low_pre = ~np.take(_or_table(pre[:, :w]), by_size, axis=1)
-    highs = np.arange(1 << (free - w), dtype=np.uint64) << np.uint64(w)
+    highs = np.arange(1 << (free - w), dtype=np.uint32) << np.uint32(w)
     high_pre = _or_table(pre[:, w:free]) | off_domain
     if identity:
-        highs |= np.uint64(1 << (order - 1))
+        highs |= np.uint32(1 << (order - 1))
         high_pre |= pre[:, order - 1, None]
     not_high_pre = ~high_pre
 
-    best = np.full(order + 1, np.iinfo(np.uint64).max, dtype=np.uint64)
-    masks, departed, key = np.empty_like(low), np.empty_like(low), np.empty_like(low)
+    best = np.full(order + 1, np.iinfo(key_type).max, dtype=key_type)
+    masks, departed = np.empty_like(low), np.empty_like(low)
+    count, key = np.empty_like(low, dtype=count_type), np.empty_like(low, dtype=key_type)
     for h, high in enumerate(highs):
         np.bitwise_or(low, high, out=masks)
-        key.fill(0)
+        count.fill(0)
         for i in range(len(layers)):
             np.bitwise_and(masks, not_high_pre[i, h], out=departed)
             departed &= not_low_pre[i]
-            key += np.bitwise_count(departed)
-        key <<= np.uint64(order)
-        np.bitwise_xor(masks, np.uint64(full), out=departed)
+            count += np.bitwise_count(departed)
+        np.left_shift(count, key_type(order), out=key)
+        np.bitwise_xor(masks, np.uint32(full), out=departed)
         key |= departed
         k = int(np.bitwise_count(high))
         np.minimum(best[k : k + w + 1], np.minimum.reduceat(key, starts), out=best[k : k + w + 1])

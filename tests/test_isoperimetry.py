@@ -220,7 +220,9 @@ class TestProfile:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    # d = 5 is order ORDER_CAP, the one search whose identity takes bit 31
+    # and whose full mask is 0xFFFFFFFF: about 13 s, run by `pytest -m slow`
+    @pytest.mark.parametrize("d", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_harper_closed_form_on_cube(self, d):
         g = AbelianGroup([2] * d)
         report = profile(g, ConnectionSet.basis(g))
@@ -285,6 +287,33 @@ class TestKernel:
         # 300 parallel arcs each way: the first fixture whose minimum does not fit in 8 bits
         d = GenericDigraph(2, ((0, 1),) * 300 + ((1, 0),) * 300)
         assert [c.min_boundary for c in digraph_profile(d).entries] == [0, 300, 0]
+
+    # f arcs 0 -> 1 and b back: the boundary count is uint8 up to 255 arcs,
+    # uint16 up to 65,535 and uint32 past it.  A count too narrow for 256
+    # (65,536) arcs wraps vertex 0's boundary f = 256 (65,536) to 0, which
+    # turns vertex 0 into the lex-first witness at n = 1
+    @pytest.mark.parametrize("f, b", [(127, 127), (255, 0), (256, 0), (256, 256), (65536, 0), (65536, 65536)])
+    def test_arc_list_boundary_at_every_count_width(self, f, b):
+        d = GenericDigraph(2, ((0, 1),) * f + ((1, 0),) * b)
+        got = [(c.min_boundary, c.witness.indices()) for c in digraph_profile(d).entries]
+        assert got == [(0, []), (min(f, b), [0] if f <= b else [1]), (0, [0, 1])]
+
+    # Z25 with S = (1)..(t) has 25t arcs: its key takes 25 + 7 = 32 bits at
+    # t = 5 (uint32) and 25 + 8 = 33 at t = 6 (uint64).  Z26 with the odd
+    # steps (1)..(9) has 130 arcs (34 bits), and its 13 even vertices lose
+    # all 65 of theirs: a key past 32 bits, which a 32-bit key would wrap to
+    # boundary 1
+    @pytest.mark.parametrize("gtext, stext", [
+        ("Z25", "(1),(2),(3),(4),(5)"), ("Z25", "(1),(2),(3),(4),(5),(6)"), ("Z26", "(1),(3),(5),(7),(9)"),
+    ])
+    def test_cayley_search_on_both_sides_of_the_key_width(self, gtext, stext):
+        g, s = group_and_set(gtext, stext)
+        report = profile(g, s)
+        for e in report.entries:
+            assert edge_boundary(g, s, e.witness) == e.min_boundary
+            # a Cayley digraph's boundary is complement-symmetric
+            assert e.min_boundary == report.entries[g.order - e.n].min_boundary
+            assert e.min_boundary <= edge_boundary(g, s, VertexSet.from_indices(range(e.n), g.order))
 
     @pytest.mark.parametrize("gtext, stext", [
         ("Z6", "(1)"), ("Z7", "(1),(3)"), ("Z8", "(2)"), ("Z2xZ4", "(1,1),(0,2)"),

@@ -52,7 +52,8 @@ same_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_outputs)
 
 INPUTS = {
-    "kernel": ["Z4xZ7", "Z2xZ2xZ7"],
+    # Z2xZ12 (24 + 6 bits) keys its masks in 32 bits, the order-28 groups in 64
+    "kernel": ["Z4xZ7", "Z2xZ2xZ7", "Z2xZ12"],
     "float_scan": [256, 512],
     "exact_scan": [128, 256, 512],
     "sup": [(1.0, 255), (1.5, 255), (1.0, 512), (1.5, 512), (1.9, 512)],

@@ -63,7 +63,7 @@ def float_tent_csv(path: Path, N: int = 160) -> None:
 def commands(tent: Path) -> dict[str, list[str]]:
     """name -> argv; {name} in an argument is the command's name.
 
-    42 commands, whose reports and CSVs with their stdouts make 111 files.
+    43 commands, whose reports and CSVs with their stdouts make 113 files.
     """
     out = ["--out", "{name}.json"]
     cmds = {}
@@ -93,6 +93,9 @@ def commands(tent: Path) -> dict[str, list[str]]:
     cmds["tent-Fm2-480"] = ["check-class", "--fn", "builtin:tent:1/2,9/8", "--class", "Fm:2", "--n", "480", *out]
     cmds["verify-catalog"] = ["verify-catalog", "--out", "{name}.csv"]
     cmds["profile-csv"] = ["profile", "--group", "Z2xZ6", "--s", "basis", "--format", "csv", "--out", "{name}.csv"]
+    # the profiles above key their masks in 32 bits; 26 vertices and 130 arcs
+    # need 64, and the 13 even vertices' boundary of 65 takes 33 bits of it
+    cmds["profile-key64"] = ["profile", "--group", "Z26", "--s", "(1),(3),(5),(7),(9)", *out]
     return cmds
 
 
