@@ -181,7 +181,7 @@ def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Vio
     row = _triple_rows(N, _chord(defect), vals)
     for b0, b1 in _row_blocks(N):
         # rounding is monotone, so lhs - min is each row's largest rounded lhs - rhs;
-        # a row alone is row(b0) through its cached views, in scalar floats that skip
+        # a row alone is row(b0), in row's reused buffers, in scalar floats that skip
         # the errstate and the arrays (6-15% of a scan whose rows are mostly alone,
         # at N = 256 to 384)
         if b1 == b0 + 1:

@@ -354,8 +354,8 @@ def estimate_sup(
     them `last_decrease`, and `converged`.  The triple tables
     (grid._triple_rows) are built at most once per call, at the first sweep
     that reads a row whole or by windows, or pushes: O(N^2) memory then,
-    O(N) when no sweep does; the span rule's hulls are O(N), built at most
-    once, at the first pull sweep with a row that is not symmetric.
+    O(N) when no sweep does; the span rule's hulls are O(N), built once
+    per call when p < 2, before the first sweep.
     """
     if N < 2:
         raise ValueError(f"grid resolution must be >= 2, got {N}")
@@ -383,7 +383,7 @@ def estimate_sup(
     ruled = cc / N**3 >= np.finfo(float).tiny  # h, the spreads and their products are normal floats
     whole, symmetric = k * (N - k), np.minimum(k, N - k)  # row b's triples; its symmetric ones
 
-    hulls = None  # _span_hulls, made at the first pull sweep that reads a row that is not symmetric (p < 2)
+    hulls = _span_hulls(spread) if p < 2 else None  # the span rule's, read by pull sweeps
     decreases = []
     sweep_ms = []
     triples_read = []
@@ -403,8 +403,6 @@ def estimate_sup(
                 row.push(acc, c=c)
         windows = {}  # the rows a pull sweep reads by their two span windows (p < 2)
         if not pushing and p < 2 and not sym[1:N].all():
-            if hulls is None:
-                hulls = _span_hulls(spread)
             rows = np.flatnonzero(~sym[1:N]) + 1
             windows, skipped = _span_windows((g - h + margin)[rows], hulls, rows)
             pull -= skipped

@@ -144,19 +144,16 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     reads v when called: a caller may rewrite v between calls (the sup
     writing v[b] sees the update in row b + 1; the exact scan writes
     F[b] - F into v before row b).  A result of row or row.window is valid
-    until the next call of either; row.block returns a new array.
-
-    row(b), for 1 <= b <= N-1, is the (a, c) matrix of middle index b.  Its
-    views are made at its first call and kept, so a caller that stops early
-    pays only for the rows it read.
+    until the next call of row or row.window; row.block returns a new array.
 
     row.window(b, a0, a1, c0, c1), for 0 <= a0 < a1 <= b < c0 < c1 <= N+1,
-    is the sub-rectangle row(b)[a0 : a1, c0-b-1 : c1-b-1], the triples with
-    a0 <= a < a1 and c0 <= c < c1: it slices the tables and v as row(b)'s
-    views do, makes no view of its own, and evaluates into the fronts of
-    row's two buffers: on a 2-core Xeon a 44 x 44 window of row 70 at
-    N = 230 took 11-12 us there, and 18-21 us in its strided part of
-    row(b)'s buffers.  The sup reads its span windows with it.
+    is the rectangle of the triples with middle index b, a0 <= a < a1 and
+    c0 <= c < c1, a and c ascending: it slices the tables and v on every
+    call, keeps nothing between calls, and evaluates into the fronts of the
+    two buffers.  row(b), for 1 <= b <= N-1, is row.window(b, 0, b, b + 1,
+    N + 1), the (a, c) matrix of middle index b, so row(b)[a0 : a1,
+    c0-b-1 : c1-b-1] is row.window(b, a0, a1, c0, c1).  The sup reads its
+    span windows with row.window.
 
     row.block(b0, b1), for float weights and 1 <= b0 < b1 <= N, evaluates
     the K = b1 - b0 rows b0..b1-1 at once when its K*(b1-1)*(N-b0) entries
@@ -193,21 +190,10 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
     padded = np.full(pad + 2 * N - 1, np.inf)
     windows = np.lib.stride_tricks.sliding_window_view(padded, N - 1)
 
-    # row keeps its views and its two buffers, where block and push take new
-    # arrays, because both pay on a 2-core Xeon: without the views, a
-    # second pass of rows at N = 200 took 5.9 ms against 5.0 (min of 15), and
-    # the sup bench's raw job_p50_ms rose from 12.13 to 13.12 ms in 4 of 4
-    # alternating pairs; with new arrays, the F0 scan of F at N = 384 and 512,
-    # whose rows are mostly read alone, took 8-13% longer (min of 11).
-    views: list = [None] * N  # views[b]: row b's views, made at its first call
-
-    def row(b: int) -> np.ndarray:
-        if views[b] is None:
-            sl = np.s_[N - 1 - b : N - 1, : N - b]
-            shape = (b, N - b)
-            views[b] = (w0[sl], v[:b, None], w1[sl], v[None, b + 1 :], w2[sl],
-                        buf[: b * (N - b)].reshape(shape), tmp[: b * (N - b)].reshape(shape))
-        return _rhs(*views[b])
+    # row.window evaluates into the fronts of its two buffers, where block and
+    # push take new arrays: with new arrays, the F0 scan of F at N = 384 and
+    # 512, whose rows are mostly read alone, took 8-13% longer on a 2-core
+    # Xeon (min of 11).
 
     def window(b: int, a0: int, a1: int, c0: int, c1: int) -> np.ndarray:
         sl = np.s_[N - 1 - b + a0 : N - 1 - b + a1, c0 - b - 1 : c1 - b - 1]
@@ -215,6 +201,9 @@ def _triple_rows(N: int, weights: Callable, v: np.ndarray) -> Callable:
         n = shape[0] * shape[1]
         return _rhs(w0[sl], v[a0:a1, None], w1[sl], v[None, c0:c1], w2[sl],
                     buf[:n].reshape(shape), tmp[:n].reshape(shape))
+
+    def row(b: int) -> np.ndarray:
+        return window(b, 0, b, b + 1, N + 1)
 
     def block(b0: int, b1: int) -> np.ndarray:
         K = b1 - b0

@@ -145,21 +145,36 @@ def test_triple_rows_match_per_row_construction(N):
 @pytest.mark.parametrize("N", [2, 3, 24, 257])
 def test_triple_windows_are_parts_of_rows(N):
     # every rectangle of a row, from one entry to the whole row, float and
-    # int64, with v rewritten between the calls
+    # int64, with v rewritten between the calls, against each entry built
+    # apart from the kernel: the float one in Python floats in _rhs's order,
+    # bit for bit, the int64 one in Python ints
     rng = np.random.default_rng(N)
     spread = (np.arange(N + 1) / N) ** 1.5
     F = rng.integers(-2**20, 2**20, N + 1)
-    for weights, v in [(_chord(lambda den, lam: spread[den]), rng.standard_normal(N + 1)),
-                       (integer_weights(N, np.array(12345)), F)]:
+    sp = spread.tolist()
+
+    def float_entry(x, a, b, c):
+        lam = (c - b) / (c - a)
+        return lam * x[a] + (1 - lam) * x[c] + sp[c - a]
+
+    def int_entry(x, a, b, c):
+        return N * (c - b) * x[a] + N * (b - a) * x[c] + 12345 * (c - a) ** 2
+
+    for weights, v, entry in [(_chord(lambda den, lam: spread[den]), rng.standard_normal(N + 1), float_entry),
+                              (integer_weights(N, np.array(12345)), F, int_entry)]:
         row = _triple_rows(N, weights, v)
         for b in sorted({1, N // 2, N - 1, *rng.integers(1, N, 4).tolist()}):
             for _ in range(6):
                 a0, a1 = sorted(rng.choice(b + 1, 2, replace=False).tolist())
                 c0, c1 = sorted(rng.choice(np.arange(b + 1, N + 2), 2, replace=False).tolist())
+                x = v.tolist()
                 for rect in [(a0, a1, c0, c1), (0, b, b + 1, N + 1), (b - 1, b, N, N + 1)]:
-                    got = row.window(b, *rect).copy()
-                    want = row(b)[rect[0] : rect[1], rect[2] - b - 1 : rect[3] - b - 1]
+                    want = np.array([[entry(x, a, b, c) for c in range(rect[2], rect[3])]
+                                     for a in range(rect[0], rect[1])], dtype=v.dtype)
+                    got = row.window(b, *rect)
                     assert got.dtype == v.dtype and got.tobytes() == want.tobytes()
+                    if rect == (0, b, b + 1, N + 1):
+                        assert row(b).tobytes() == want.tobytes()
                 v[:] = rng.permutation(v)
 
 
@@ -288,6 +303,24 @@ def test_a_sweep_of_diagonals_allocates_no_table():
         tracemalloc.stop()
     assert peak < 2**20, peak / 2**20
     assert stats["triples_read"] == [sum(min(b, N - b) for b in range(1, N))]
+
+
+@pytest.mark.parametrize("N", [64, 255, 512])
+def test_rows_keep_no_state(N):
+    # a kernel holds what it made when it was made: reading every row twice
+    # keeps nothing per row
+    v = np.random.default_rng(N).standard_normal(N + 1)
+    tracemalloc.start()
+    try:
+        row = _triple_rows(N, _chord(lambda den, lam: 0.5 * lam), v)
+        made = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            for b in range(1, N):
+                row(b)
+        kept = tracemalloc.get_traced_memory()[0] - made
+    finally:
+        tracemalloc.stop()
+    assert abs(kept) <= 1024, kept / 1024
 
 
 def test_triple_rows_free_without_the_cycle_collector():
