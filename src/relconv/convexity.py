@@ -4,9 +4,9 @@ Every checker scans inequalities at on-grid triples only: x1 = a/N,
 x2 = c/N, lam = (c-b)/(c-a), so the convex combination lands exactly on
 grid index b.  A row is the (a, c) matrix of one middle index b.  The float
 scans read blocks of consecutive rows, of at most about 2**14 entries
-each, and the exact scan (like extremal's sup) reads one row at a time;
-either way every row gets its own largest gap and its own violations.
-Every triple scan, exact
+each, or one row at a time where two rows exceed a block, and the exact
+scan (like extremal's sup) reads one row at a time; either way every row
+gets its own largest gap and its own violations.  Every triple scan, exact
 or float, reads its right-hand sides from the one kernel grid._triple_rows,
 whose weights come from the offsets i = b - a, j = c - b and den = c - a:
 (lam, 1 - lam, defect) with lam = j/den for the float scans, and the
@@ -174,25 +174,20 @@ def _float_rows(vals: np.ndarray, tol: float, defect) -> Iterator[tuple[list[Vio
     """Float scan rows with rhs = chord + defect(den, lam), den = c - a.
 
     The rows are read in the blocks of grid._row_blocks, and each row still
-    gets its own worst and its own violation gate, so a NaN row hides no
-    row beside it.
+    gets its own worst, from the one least rhs per row of the read, and its
+    own violation gate, so a NaN row hides no row beside it.
     """
     N = len(vals) - 1
     row = _triple_rows(N, _chord(defect), vals)
     for b0, b1 in _row_blocks(N):
-        # rounding is monotone, so lhs - min is each row's largest rounded lhs - rhs;
-        # a row alone is row(b0), in row's reused buffers, in scalar floats that skip
-        # the errstate and the arrays (6-15% of a scan whose rows are mostly alone,
-        # at N = 256 to 384)
-        if b1 == b0 + 1:
-            rhs = row(b0)[None]
-            worsts = [float(vals[b0]) - float(rhs.min())]
-        else:
-            rhs = row.block(b0, b1)
-            with np.errstate(over="ignore", invalid="ignore"):  # huge finite values give infinite gaps
-                worsts = (vals[b0:b1] - rhs.min(axis=(1, 2))).tolist()
-        for b, worst in enumerate(worsts, b0):
+        # a row alone is row(b0), in row's reused buffers: through row.block's new
+        # arrays, F's scan at N = 384, whose rows are mostly alone, took 12% longer
+        rhs = row(b0)[None] if b1 == b0 + 1 else row.block(b0, b1)
+        for b, least in enumerate(rhs.min(axis=(1, 2)).tolist(), b0):
             x = float(vals[b])
+            # rounding is monotone, so x - least is the row's largest rounded lhs - rhs;
+            # Python floats give the IEEE difference, inf or NaN, and neither warn nor raise
+            worst = x - least
             if worst == 0 and math.copysign(1, x) < 0:  # -0.0 - min: a zero min's sign is the row's own
                 worst = x - float(row(b).min())
             out = []

@@ -24,7 +24,7 @@ from relconv.convexity import (
     sample_concave,
 )
 from relconv.extremal import estimate_sup, majorant_grid, majorant_values, parabola_grid
-from relconv.grid import GridFunction, _chord, _triple_rows
+from relconv.grid import GridFunction, _chord, _row_blocks, _triple_rows
 
 from conftest import exact_parabola_grid, reference_mean_tuples
 
@@ -275,13 +275,19 @@ class TestBlockedFloatRows:
             assert_rows_match_oracle(vals, SLACK_TOL, lambda den, lam: majorant_values(lam) * (den / N))
 
     def test_huge_values_match_per_row_oracle(self):
+        # every row of N = 32 and 48 is in a block; at N = 257, 183 rows are
+        # read alone, and -1.7e308 at index 0 alone gives 121 rows infinite worsts
         rng = np.random.default_rng(3)
-        for N in (32, 48):
-            vals = rng.choice([1.7e308, -1.7e308], N + 1)
+        few = np.full(258, 1.7e308)
+        few[0] = -1.7e308
+        for vals in [rng.choice([1.7e308, -1.7e308], N + 1) for N in (32, 48)] + [few]:
+            N = len(vals) - 1
             spread = np.arange(N + 1) / N
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert_rows_match_oracle(vals, SLACK_TOL, lambda den, lam: spread[den])
+        worsts = [worst for _, worst in convexity._float_rows(few, SLACK_TOL, lambda den, lam: spread[den])]
+        assert worsts.count(math.inf) == 121
 
     def test_nan_row_beside_violating_row(self):
         # rows 1..18 of N = 48 are one block.  Row 5 reads +inf at b and +inf
@@ -303,14 +309,17 @@ class TestBlockedFloatRows:
 
     def test_signed_zero_worst_matches_per_row_oracle(self):
         # with c = -0.0 every rhs is a signed zero, and f[b] = -0.0 minus a
-        # row minimum of either sign is -0.0 or 0.0
+        # row minimum of either sign is -0.0 or 0.0; every row of N = 48 is in
+        # a block, and 183 rows of N = 257 are read alone
         rng = np.random.default_rng(0)
-        N = 48
-        vals = rng.choice([0.0, -0.0], N + 1)
-        spread = -0.0 * (np.arange(N + 1) / N)
-        assert_rows_match_oracle(vals, SLACK_TOL, lambda den, lam: spread[den])
-        out = check_almost_convex(GridFunction(N, vals), -0.0)
-        assert not out and out.max_slack == 0.0
+        for N in (48, 257):
+            vals = rng.choice([0.0, -0.0], N + 1)
+            spread = -0.0 * (np.arange(N + 1) / N)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_rows_match_oracle(vals, SLACK_TOL, lambda den, lam: spread[den])
+            out = check_almost_convex(GridFunction(N, vals), -0.0)
+            assert not out and out.max_slack == 0.0
 
     def test_endpoint_verdicts_match_per_row_oracle(self):
         N = 48
@@ -348,6 +357,28 @@ class TestBlockedFloatRows:
         assert blocks == []
         check_almost_convex(majorant_grid(48))  # the float scan does read blocks
         assert blocks
+
+    @pytest.mark.parametrize("N", [128, 257])
+    def test_float_scan_reads_each_block_once(self, monkeypatch, N):
+        # every row of N = 128 is in a block, and 183 rows of N = 257 are read
+        # alone: a lone row is row(b0), in row's buffers, never row.block(b0, b0 + 1)
+        reads = []
+
+        def spy(N, weights, v):
+            kernel = _triple_rows(N, weights, v)
+
+            def row(b):
+                reads.append(("row", b))
+                return kernel(b)
+
+            for name in ("block", "window", "push"):
+                setattr(row, name, lambda *args, name=name, **kw: reads.append((name, *args)) or
+                        getattr(kernel, name)(*args, **kw))
+            return row
+
+        monkeypatch.setattr(convexity, "_triple_rows", spy)
+        check_almost_convex(majorant_grid(N))
+        assert reads == [("row", b0) if b1 == b0 + 1 else ("block", b0, b1) for b0, b1 in _row_blocks(N)]
 
 
 class TestAnchored:

@@ -54,7 +54,8 @@ _spec.loader.exec_module(same_outputs)
 INPUTS = {
     # Z2xZ12 (24 + 6 bits) keys its masks in 32 bits, the order-28 groups in 64
     "kernel": ["Z4xZ7", "Z2xZ2xZ7", "Z2xZ12"],
-    "float_scan": [256, 512],
+    # every row of N = 128 is in a block; 182 of 255 rows at 256 and 479 of 511 at 512 are read alone
+    "float_scan": [128, 256, 512],
     "exact_scan": [128, 256, 512],
     "sup": [(1.0, 255), (1.5, 255), (1.0, 512), (1.5, 512), (1.9, 512)],
     "report": 160,

@@ -50,20 +50,23 @@ def masked(name: str, text: str) -> str:
     return "".join(out)
 
 
-def float_tent_csv(path: Path, N: int = 160) -> None:
-    """A float tent above the parabola, apex (1/2, 1.125): 25,256 F0 violations at N = 160.
+def float_tent_csv(path: Path, N: int = 160, h: float = 1.125) -> None:
+    """A float tent above the parabola, apex (1/2, h): 25,256 F0 violations at N = 160
+    and h = 1.125, all in blocks of rows, and 5,950 at N = 300 and h = 1.01, all in rows
+    read alone.
 
     Written here rather than by either tree's write_csv, so both trees read the same bytes.
     """
     x = np.arange(N + 1) / N
-    v = np.where(x <= 0.5, 1.125 * x / 0.5, 1.125 * (1.0 - x) / 0.5)
+    v = np.where(x <= 0.5, h * x / 0.5, h * (1.0 - x) / 0.5)
     path.write_bytes(b"i,x,value\r\n" + "".join(f"{i},{i}/{N},{y!r}\r\n" for i, y in enumerate(v.tolist())).encode())
 
 
-def commands(tent: Path) -> dict[str, list[str]]:
-    """name -> argv; {name} in an argument is the command's name.
+def commands(tent: Path, tent300: Path) -> dict[str, list[str]]:
+    """name -> argv; {name} in an argument is the command's name; tent and
+    tent300 are float_tent_csv's tents at N = 160 and (300, 1.01).
 
-    43 commands, whose reports and CSVs with their stdouts make 113 files.
+    44 commands, whose reports and CSVs with their stdouts make 115 files.
     """
     out = ["--out", "{name}.json"]
     cmds = {}
@@ -89,6 +92,7 @@ def commands(tent: Path) -> dict[str, list[str]]:
     # reports of many writer chunks, one per record kind: 25,256 float
     # Violations, 8,211 exact (Fraction) ones and 5,760 TupleViolations
     cmds["tent-float-F0"] = ["check-class", "--fn", str(tent), "--class", "F0", *out]
+    cmds["tent-float-F0-300"] = ["check-class", "--fn", str(tent300), "--class", "F0", *out]
     cmds["tent-exact-F0-256"] = ["check-class", "--fn", "builtin:tent:1/4,4/5", "--class", "F0", "--n", "256", *out]
     cmds["tent-Fm2-480"] = ["check-class", "--fn", "builtin:tent:1/2,9/8", "--class", "Fm:2", "--n", "480", *out]
     cmds["verify-catalog"] = ["verify-catalog", "--out", "{name}.csv"]
@@ -122,9 +126,10 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp / "base", **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-        tent = tmp / "tent-float.csv"
+        tent, tent300 = tmp / "tent-float.csv", tmp / "tent-float-300.csv"
         float_tent_csv(tent)
-        cmds = commands(tent)
+        float_tent_csv(tent300, 300, 1.01)
+        cmds = commands(tent, tent300)
         run_all(tmp / "base" / "src", tmp / "a", cmds)
         run_all(ROOT / "src", tmp / "b", cmds)
         names = sorted({p.name for d in ("a", "b") for p in (tmp / d).iterdir()})
